@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "common/alloc_hook.h"
 #include "common/io_env.h"
@@ -691,6 +692,23 @@ ThreadPool* Evaluator::thread_pool(size_t min_threads) {
     pool_ = std::make_unique<ThreadPool>(min_threads);
   }
   return pool_.get();
+}
+
+ThreadPool* Evaluator::think_pool() {
+  // Capped small: the candidate waves are 16-24 fits or ~100 panel chunks,
+  // and every worker holds its own n x n probe while it runs.
+  constexpr size_t kMaxThinkThreads = 4;
+  size_t threads = std::min<size_t>(std::thread::hardware_concurrency(),
+                                    kMaxThinkThreads);
+  if (threads <= 1) return nullptr;
+  ThreadPool* pool = thread_pool(threads);
+  if (!think_pool_counted_) {
+    think_pool_counted_ = true;
+    if (metrics_ != nullptr) {
+      metrics_->GetCounter("pool.think_host_threads")->Increment(threads);
+    }
+  }
+  return pool;
 }
 
 Result<std::vector<double>> Evaluator::EvaluateBatch(

@@ -291,8 +291,22 @@ class Evaluator {
 
   /// Shared worker pool for batch evaluation and tuner-internal parallel
   /// work (e.g. GP hyperparameter search). Created lazily; grows if a
-  /// larger `min_threads` is requested later.
+  /// larger `min_threads` is requested later (replacing the pool, so a
+  /// pointer from an earlier call must not be held across a larger request).
   ThreadPool* thread_pool(size_t min_threads);
+
+  /// The session pool sized for tuner think work (GP hyper search and
+  /// acquisition scans, DESIGN.md §6): thread_pool() with
+  /// min(hardware threads, 4) workers, or nullptr on a host with one
+  /// hardware thread, where the caller's inline path is already the best
+  /// schedule. Call it where the think work starts, never up front: a
+  /// session that does no such work must start no threads. The pool lives
+  /// and dies with this Evaluator — a process-lifetime pool would leave a
+  /// fork()ed child submitting to workers that exist only in the parent.
+  /// The first call adds the worker count to the
+  /// `pool.think_host_threads` counter when metrics are on ("host": it
+  /// depends on the machine, so determinism comparisons skip it).
+  ThreadPool* think_pool();
 
   /// Like Evaluate, but kills the run once it exceeds `abort_at_seconds`
   /// (iTuned's early abort of low-utility experiments: an experiment already
@@ -532,6 +546,7 @@ class Evaluator {
   /// Wall-clock round counter: +1 per Evaluate* call, +1 per whole batch.
   size_t round_ = 0;
   std::unique_ptr<ThreadPool> pool_;
+  bool think_pool_counted_ = false;
 
   TrialJournal* journal_ = nullptr;  // not owned
   JournalPolicy journal_policy_ = JournalPolicy::kStrict;

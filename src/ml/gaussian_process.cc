@@ -1,7 +1,10 @@
 #include "ml/gaussian_process.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <future>
+#include <limits>
 #include <string>
 
 #include "common/logging.h"
@@ -18,6 +21,10 @@ namespace atune {
 
 namespace {
 constexpr double kTwoPi = 6.283185307179586;
+// PredictBatch's chunk width: the panel solve streams the whole Cholesky
+// factor once per chunk, so wider chunks halve the dominant memory traffic
+// versus 8.
+constexpr size_t kPanelLanes = 16;
 
 double ScaledDistance(const Vec& a, const Vec& b,
                       const std::vector<double>& ls) {
@@ -321,40 +328,50 @@ Status GaussianProcess::FitWithHyperSearch(const std::vector<Vec>& xs,
         y_var * std::exp(rng->Uniform(std::log(1e-6), std::log(1e-1)));
   }
 
-  // Score each candidate's log marginal likelihood (NaN = failed fit).
-  std::vector<double> lml(candidates.size());
-  auto score = [&xs, &ys](const GpHyperParams& cand) -> double {
-    GaussianProcess probe(cand);
-    if (!probe.Fit(xs, ys).ok()) {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-    return probe.LogMarginalLikelihood();
+  // Each scan fits candidates in ascending index order and keeps only its
+  // own first strictly-better probe (a failed fit or NaN likelihood never
+  // compares greater), so at most one winning probe per worker is alive.
+  // Reducing the scans by (LML descending, index ascending) then picks
+  // exactly the candidate the serial loop picks.
+  struct Winner {
+    double lml = -std::numeric_limits<double>::infinity();
+    size_t index = std::numeric_limits<size_t>::max();
+    GaussianProcess gp;
   };
-  if (pool != nullptr && candidates.size() > 1) {
-    std::vector<std::future<double>> futures;
-    futures.reserve(candidates.size());
-    for (const GpHyperParams& cand : candidates) {
-      futures.push_back(pool->Submit([&score, &cand]() { return score(cand); }));
+  const size_t num_candidates = candidates.size();
+  auto scan = [&xs, &ys, &candidates](std::atomic<size_t>* next) -> Winner {
+    Winner best;
+    for (size_t i = next->fetch_add(1); i < candidates.size();
+         i = next->fetch_add(1)) {
+      GaussianProcess probe(candidates[i]);
+      if (!probe.Fit(xs, ys).ok()) continue;
+      if (probe.LogMarginalLikelihood() > best.lml) {
+        best.lml = probe.LogMarginalLikelihood();
+        best.index = i;
+        best.gp = std::move(probe);
+      }
     }
-    for (size_t i = 0; i < futures.size(); ++i) lml[i] = futures[i].get();
+    return best;
+  };
+  std::atomic<size_t> next{0};
+  Winner best;
+  if (pool != nullptr && num_candidates > 1) {
+    size_t workers = std::min(pool->num_threads(), num_candidates);
+    std::vector<std::future<Winner>> futures;
+    futures.reserve(workers);
+    for (size_t w = 0; w < workers; ++w) {
+      futures.push_back(pool->Submit([&scan, &next]() { return scan(&next); }));
+    }
+    for (std::future<Winner>& future : futures) {
+      Winner w = future.get();
+      if (w.lml > best.lml || (w.lml == best.lml && w.index < best.index)) {
+        best = std::move(w);
+      }
+    }
   } else {
-    for (size_t i = 0; i < candidates.size(); ++i) lml[i] = score(candidates[i]);
+    best = scan(&next);
   }
-
-  // First strictly-better candidate wins — index order breaks ties exactly
-  // like the serial loop did.
-  GpHyperParams best;
-  double best_lml = -std::numeric_limits<double>::infinity();
-  bool found = false;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (std::isnan(lml[i])) continue;
-    if (lml[i] > best_lml) {
-      best_lml = lml[i];
-      best = candidates[i];
-      found = true;
-    }
-  }
-  if (!found) {
+  if (best.index == std::numeric_limits<size_t>::max()) {
     // Every candidate produced a non-finite log marginal likelihood: the
     // design is degenerate (duplicated points, non-finite targets). Fitting
     // defaults anyway would hand callers a model built on garbage; surface
@@ -362,10 +379,10 @@ Status GaussianProcess::FitWithHyperSearch(const std::vector<Vec>& xs,
     return Status::Internal(StrFormat(
         "GP hyper search: all %zu candidates produced a non-finite log "
         "marginal likelihood (degenerate design of %zu points)",
-        candidates.size(), xs.size()));
+        num_candidates, xs.size()));
   }
-  params_ = best;
-  return Fit(xs, ys);
+  *this = std::move(best.gp);
+  return Status::OK();
 }
 
 GpPrediction GaussianProcess::Predict(const Vec& x) const {
@@ -399,38 +416,75 @@ GpPrediction GaussianProcess::Predict(const Vec& x) const {
   return out;
 }
 
+ScratchArena* GpScratch::RunArena(size_t run) {
+  if (run == 0) return &arena_;
+  while (run_arenas_.size() < run) {
+    run_arenas_.push_back(std::make_unique<ScratchArena>());
+  }
+  return run_arenas_[run - 1].get();
+}
+
 void GaussianProcess::PredictBatch(const Matrix& candidates, GpScratch* scratch,
-                                   std::vector<GpPrediction>* out) const {
+                                   std::vector<GpPrediction>* out,
+                                   ThreadPool* pool) const {
   size_t m = candidates.rows();
   out->assign(m, GpPrediction{});
   if (!fitted_ || m == 0) return;
+  size_t chunks = (m + kPanelLanes - 1) / kPanelLanes;
+  size_t runs = pool != nullptr ? std::min(pool->num_threads(), chunks) : 1;
+  if (runs <= 1) {
+    PredictRows(candidates, 0, m,
+                scratch != nullptr ? scratch->RunArena(0) : nullptr,
+                out->data());
+    return;
+  }
+  // Contiguous runs of whole chunks: each row lands in the same lane
+  // position of the same chunk as in the single-run call, and rows never
+  // interact, so the split cannot change a bit.
+  GpPrediction* rows = out->data();
+  std::vector<std::future<void>> futures;
+  futures.reserve(runs);
+  for (size_t r = 0; r < runs; ++r) {
+    size_t begin = std::min(m, chunks * r / runs * kPanelLanes);
+    size_t end = std::min(m, chunks * (r + 1) / runs * kPanelLanes);
+    ScratchArena* arena = scratch != nullptr ? scratch->RunArena(r) : nullptr;
+    futures.push_back(pool->Submit([this, &candidates, begin, end, arena,
+                                    rows]() {
+      PredictRows(candidates, begin, end, arena, rows);
+    }));
+  }
+  for (std::future<void>& future : futures) future.get();
+}
+
+void GaussianProcess::PredictRows(const Matrix& candidates, size_t begin,
+                                  size_t end, ScratchArena* arena,
+                                  GpPrediction* out) const {
   if (sparse_) {
     // The sparse posterior has a single (scalar) evaluation path, so the
     // batched call is just the per-row loop — no fast/scalar split to keep
     // bit-identical.
-    for (size_t r = 0; r < m; ++r) (*out)[r] = SparsePredict(candidates.Row(r));
+    for (size_t r = begin; r < end; ++r) {
+      out[r] = SparsePredict(candidates.Row(r));
+    }
     return;
   }
   size_t n = xs_.size();
   size_t d = clamped_ls_.size();
   if (ScalarKernelsForTesting() || !flat_ok_ || candidates.cols() != d ||
-      scratch == nullptr) {
+      arena == nullptr) {
     // Scalar A/B half (and ragged fallback): one Predict per row.
-    for (size_t r = 0; r < m; ++r) (*out)[r] = Predict(candidates.Row(r));
+    for (size_t r = begin; r < end; ++r) out[r] = Predict(candidates.Row(r));
     return;
   }
-  // 16 lanes: the panel solve streams the whole Cholesky factor once per
-  // chunk, so wider chunks halve the dominant memory traffic versus 8.
-  constexpr size_t kLanes = 16;
-  ScratchArena& arena = scratch->arena_;
-  arena.Reset();
-  double* ct = arena.AllocateArray<double>(d * kLanes);
-  double* panel = arena.AllocateArray<double>(n * kLanes);
+  constexpr size_t kLanes = kPanelLanes;
+  arena->Reset();
+  double* ct = arena->AllocateArray<double>(d * kLanes);
+  double* panel = arena->AllocateArray<double>(n * kLanes);
   bool se = params_.kernel == KernelType::kSquaredExponential;
   double sv = params_.signal_variance;
   const double* ls = clamped_ls_.data();
-  for (size_t c0 = 0; c0 < m; c0 += kLanes) {
-    size_t w = std::min(kLanes, m - c0);
+  for (size_t c0 = begin; c0 < end; c0 += kLanes) {
+    size_t w = std::min(kLanes, end - c0);
     // Transpose the candidate chunk to d x kLanes so the per-dimension loop
     // below is lane-contiguous; dead lanes repeat the last real candidate
     // (finite arithmetic, results discarded).
@@ -549,7 +603,7 @@ void GaussianProcess::PredictBatch(const Matrix& candidates, GpScratch* scratch,
     }
 #endif
     for (size_t c = 0; c < w; ++c) {
-      GpPrediction& p = (*out)[c0 + c];
+      GpPrediction& p = out[c0 + c];
       p.mean = y_mean_ + mean_acc[c];
       p.variance = std::max(SelfKernel() - var_acc[c], 0.0);
     }

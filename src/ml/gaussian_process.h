@@ -2,6 +2,7 @@
 #define ATUNE_ML_GAUSSIAN_PROCESS_H_
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/arena.h"
@@ -42,11 +43,12 @@ struct GpPrediction {
   double variance = 0.0;  ///< posterior variance (>= 0)
 };
 
-/// Reusable scratch for GaussianProcess::PredictBatch. Owns the arena the
+/// Reusable scratch for GaussianProcess::PredictBatch. Owns the arenas the
 /// batched kernels carve their candidate-transpose and kernel-row panels
-/// from; after the first batch at a given (n, d) it is in steady state and
-/// a PredictBatch call performs zero heap allocations. One scratch per
-/// thread — it is not synchronized.
+/// from — one per row run, so a pooled batch gives every worker its own;
+/// after the first batch at a given (n, d) it is in steady state and a
+/// pool-less PredictBatch call performs zero heap allocations. One scratch
+/// per calling thread — it is not synchronized.
 class GpScratch {
  public:
   GpScratch() = default;
@@ -55,7 +57,11 @@ class GpScratch {
 
  private:
   friend class GaussianProcess;
+  /// Arena of row run `run` (run 0 is the pool-less path's).
+  ScratchArena* RunArena(size_t run);
+
   ScratchArena arena_;
+  std::vector<std::unique_ptr<ScratchArena>> run_arenas_;  // runs 1..
 };
 
 /// Gaussian-process regression, the surrogate model behind iTuned [9] and
@@ -103,11 +109,13 @@ class GaussianProcess {
   size_t EvictOldest(size_t keep_last);
 
   /// Fits hyperparameters by maximizing the log marginal likelihood over a
-  /// random search of `budget` candidate hyperparameter settings, then fits
-  /// the posterior with the winner. With a non-null `pool`, candidate fits
-  /// are evaluated concurrently on it; candidates are pre-drawn from `rng`
-  /// and ties broken by candidate index, so the winner — and therefore the
-  /// fitted model — is identical to the serial search.
+  /// random search of `budget` candidate hyperparameter settings and keeps
+  /// the winning candidate's fit as the model (no refit: the probe already
+  /// ran Fit on the same data with the same params). With a non-null `pool`,
+  /// candidate fits are evaluated concurrently on it, each worker keeping
+  /// only its own best probe; candidates are pre-drawn from `rng` and ties
+  /// broken by candidate index, so the winner — and therefore the fitted
+  /// model — is identical to the serial search.
   Status FitWithHyperSearch(const std::vector<Vec>& xs, const Vec& ys,
                             size_t budget, Rng* rng,
                             ThreadPool* pool = nullptr);
@@ -123,9 +131,14 @@ class GaussianProcess {
   /// memory traffic (internal::ForwardSolvePanel), which is where the
   /// acquisition-scan speedup gated by bench_hotpath comes from. `scratch`
   /// provides the panel storage and is reused across calls; `out` is
-  /// resized (capacity persists for the caller's reuse).
+  /// resized (capacity persists for the caller's reuse). With a `pool` of
+  /// more than one thread the rows are split into contiguous runs of whole
+  /// 16-lane chunks, one per worker, each scored with its own scratch arena
+  /// into disjoint output rows — every row is computed exactly as without
+  /// the pool, so the output is bit-identical.
   void PredictBatch(const Matrix& candidates, GpScratch* scratch,
-                    std::vector<GpPrediction>* out) const;
+                    std::vector<GpPrediction>* out,
+                    ThreadPool* pool = nullptr) const;
 
   /// Batched kernel-row builder: rows->At(r, i) = k(candidates row r, x_i)
   /// for every training point i, bit-identical to the per-point KernelValue
@@ -145,6 +158,10 @@ class GaussianProcess {
 
  private:
   double KernelValue(const Vec& a, const Vec& b) const;
+  /// PredictBatch's body over rows [begin, end) into out[begin, end);
+  /// `arena` (null = per-row Predict) holds the panels.
+  void PredictRows(const Matrix& candidates, size_t begin, size_t end,
+                   ScratchArena* arena, GpPrediction* out) const;
   /// Shared scratch-free kernel-row builder over the flat training cache:
   /// out[i - begin] = k(x, x_i) for i in [begin, end), bit-identical to
   /// KernelValue(x, xs_[i]) (same per-dimension accumulation order, with

@@ -37,11 +37,13 @@ struct AcquisitionWorkspace {
 ///
 /// The candidates are pre-generated into ws->cands with exactly the rng draw
 /// order of the old per-point loop (Predict consumed no randomness), then
-/// predicted and scored as whole batches; the strict-> argmax in index order
-/// therefore selects the bit-identical winner the per-point scan did.
+/// predicted (on `pool` when non-null) and scored as whole batches; the
+/// strict-> argmax in index order therefore selects the bit-identical winner
+/// the per-point scan did.
 Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
                      const std::vector<Vec>& xs, const Vec& ys, size_t dims,
-                     Rng* rng, AcquisitionWorkspace* ws, double* best_acq_out) {
+                     Rng* rng, ThreadPool* pool, AcquisitionWorkspace* ws,
+                     double* best_acq_out) {
   ScopedSpan span(CurrentTracer(), "acquisition");
   if (span.active()) {
     span.AddArg("candidates", std::to_string(options.acquisition_candidates));
@@ -70,7 +72,7 @@ Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
       for (size_t d = 0; d < dims; ++d) cand[d] = rng->Uniform();
     }
   }
-  gp.PredictBatch(ws->cands, &ws->gp, &ws->preds);
+  gp.PredictBatch(ws->cands, &ws->gp, &ws->preds, pool);
   if (options.acquisition == "pi") {
     ProbabilityOfImprovementBatch(ws->preds, best_log, 0.0, &ws->acq);
   } else if (options.acquisition == "lcb") {
@@ -132,12 +134,17 @@ Status ITunedTuner::Tune(Evaluator* evaluator, Rng* rng) {
   double last_acq = 0.0;
   AcquisitionWorkspace ws;
   while (!evaluator->Exhausted()) {
+    // Fetched per iteration so a session whose budget ends in the bootstrap
+    // never starts the pool; after the first call it is a lookup.
+    ThreadPool* pool = evaluator->think_pool();
     GaussianProcess gp(GpHyperParams{options_.kernel, {}, 1.0, 1e-4});
-    Status fit = gp.FitWithHyperSearch(xs, ys, options_.gp_hyper_budget, rng);
+    Status fit =
+        gp.FitWithHyperSearch(xs, ys, options_.gp_hyper_budget, rng, pool);
     Vec next;
     if (fit.ok()) {
       model_failures = 0;
-      next = ProposeCandidate(gp, options_, xs, ys, dims, rng, &ws, &last_acq);
+      next = ProposeCandidate(gp, options_, xs, ys, dims, rng, pool, &ws,
+                              &last_acq);
     } else {
       // Degenerate GP (e.g. constant responses): one-off failures fall back
       // to a random draw, which usually adds enough diversity to recover.
@@ -215,11 +222,12 @@ Status ITunedTuner::TuneBatch(Evaluator* evaluator, Rng* rng) {
     for (size_t i = 0; i < objs->size(); ++i) record(design[start + i], (*objs)[i]);
   }
 
-  // Batched Bayesian optimization: each round fits one GP (hyper search on
-  // the evaluator's pool), then picks k candidates with the constant-liar
-  // heuristic — after each pick, pretend the point observed the incumbent
-  // best ("lie"), absorb it into the GP incrementally (AddObservation,
-  // O(n²)), and re-run the acquisition so the k proposals repel each other.
+  // Batched Bayesian optimization: each round fits one GP (hyper search and
+  // acquisition scans on the evaluator's pool), then picks k candidates with
+  // the constant-liar heuristic — after each pick, pretend the point
+  // observed the incumbent best ("lie"), absorb it into the GP
+  // incrementally (AddObservation, O(n²)), and re-run the acquisition so
+  // the k proposals repel each other.
   ThreadPool* pool = evaluator->thread_pool(parallelism);
   size_t bo_rounds = 0;
   size_t proposed = 0;
@@ -245,7 +253,7 @@ Status ITunedTuner::TuneBatch(Evaluator* evaluator, Rng* rng) {
       Vec lie_ys = ys;
       for (size_t j = 0; j < k; ++j) {
         Vec cand = ProposeCandidate(gp, options_, lie_xs, lie_ys, dims, rng,
-                                    &ws, &last_acq);
+                                    pool, &ws, &last_acq);
         batch.push_back(space.FromUnitVector(cand));
         if (j + 1 < k) {
           // Liar update; a degenerate append falls back to a full refit

@@ -372,8 +372,9 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
       ys.push_back(target_objectives[i]);
     }
 
+    ThreadPool* pool = evaluator->think_pool();
     GaussianProcess gp;
-    Status fit = gp.FitWithHyperSearch(xs, ys, 16, rng);
+    Status fit = gp.FitWithHyperSearch(xs, ys, 16, rng, pool);
     Vec next(dims);
     Vec incumbent = target_configs[static_cast<size_t>(
         std::min_element(target_objectives.begin(), target_objectives.end()) -
@@ -399,7 +400,7 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
                         : rng->Uniform();
         }
       }
-      gp.PredictBatch(acq_cands, &gp_scratch, &acq_preds);
+      gp.PredictBatch(acq_cands, &gp_scratch, &acq_preds, pool);
       ExpectedImprovementBatch(acq_preds, best_log, 0.0, &acq_values);
       double best_acq = -std::numeric_limits<double>::infinity();
       size_t best_c = kAcqCandidates;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
 namespace atune {
 namespace {
@@ -74,6 +76,84 @@ TEST(GpTest, HyperSearchRejectsDegenerateDesign) {
   Rng rng(3);
   Status fit = gp.FitWithHyperSearch(xs, ys, 10, &rng);
   EXPECT_EQ(fit.code(), StatusCode::kInternal);
+}
+
+TEST(GaussianProcessPoolTest, PooledHyperSearchBitIdenticalToSerial) {
+  // The pooled search must keep the serial winner — same params, same
+  // likelihood, same posterior bits — and that winner must be exactly the
+  // model a plain Fit with its params produces (the probe is reused, not
+  // refit). Sparse mode rides along: its probes score the DTC likelihood.
+  std::vector<Vec> xs;
+  Vec ys;
+  Rng data(21);
+  for (size_t i = 0; i < 30; ++i) {
+    Vec x = {data.Uniform(), data.Uniform(), data.Uniform()};
+    ys.push_back(std::sin(5.0 * x[0]) + x[1] * x[2]);
+    xs.push_back(std::move(x));
+  }
+  auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  auto expect_same_model = [&](const GaussianProcess& a,
+                               const GaussianProcess& b,
+                               const std::string& what) {
+    ASSERT_EQ(a.params().lengthscales.size(), b.params().lengthscales.size());
+    for (size_t j = 0; j < a.params().lengthscales.size(); ++j) {
+      EXPECT_TRUE(same(a.params().lengthscales[j], b.params().lengthscales[j]))
+          << what;
+    }
+    EXPECT_TRUE(same(a.params().signal_variance, b.params().signal_variance))
+        << what;
+    EXPECT_TRUE(same(a.params().noise_variance, b.params().noise_variance))
+        << what;
+    EXPECT_EQ(a.sparse(), b.sparse()) << what;
+    EXPECT_TRUE(same(a.LogMarginalLikelihood(), b.LogMarginalLikelihood()))
+        << what;
+    for (double t : {0.1, 0.45, 0.8}) {
+      GpPrediction pa = a.Predict({t, 1.0 - t, 0.5});
+      GpPrediction pb = b.Predict({t, 1.0 - t, 0.5});
+      EXPECT_TRUE(same(pa.mean, pb.mean)) << what;
+      EXPECT_TRUE(same(pa.variance, pb.variance)) << what;
+    }
+  };
+  for (size_t max_exact : {size_t{0}, size_t{12}}) {
+    for (size_t budget : {1, 5, 16, 24}) {
+      GpHyperParams params;
+      params.max_exact_points = max_exact;
+      GaussianProcess serial(params);
+      Rng serial_rng(budget);
+      ASSERT_TRUE(serial.FitWithHyperSearch(xs, ys, budget, &serial_rng).ok());
+      EXPECT_EQ(serial.sparse(), max_exact > 0);
+      GaussianProcess refit(serial.params());
+      ASSERT_TRUE(refit.Fit(xs, ys).ok());
+      expect_same_model(serial, refit, "winner reuse vs refit");
+      const double serial_next_draw = serial_rng.Uniform();
+      for (size_t threads = 1; threads <= 4; ++threads) {
+        ThreadPool pool(threads);
+        GaussianProcess pooled(params);
+        Rng pooled_rng(budget);
+        ASSERT_TRUE(
+            pooled.FitWithHyperSearch(xs, ys, budget, &pooled_rng, &pool).ok());
+        expect_same_model(serial, pooled,
+                          "budget " + std::to_string(budget) + " threads " +
+                              std::to_string(threads) + " max_exact " +
+                              std::to_string(max_exact));
+        EXPECT_TRUE(same(serial_next_draw, pooled_rng.Uniform()))
+            << "pooled search drew a different number of candidates";
+      }
+    }
+  }
+}
+
+TEST(GaussianProcessPoolTest, PooledHyperSearchRejectsDegenerateDesign) {
+  std::vector<Vec> xs(5, Vec{0.5, 0.5});
+  Vec ys(5, std::numeric_limits<double>::quiet_NaN());
+  ThreadPool pool(3);
+  GaussianProcess gp;
+  Rng rng(3);
+  Status fit = gp.FitWithHyperSearch(xs, ys, 10, &rng, &pool);
+  EXPECT_EQ(fit.code(), StatusCode::kInternal);
+  EXPECT_FALSE(gp.fitted());
 }
 
 TEST(GpTest, HandlesDuplicateInputsViaJitter) {

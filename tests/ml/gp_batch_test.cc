@@ -120,6 +120,49 @@ TEST(GpBatch, PredictBatchNullScratchFallsBack) {
   }
 }
 
+TEST(GpBatch, PooledPredictBatchBitIdenticalToNoPool) {
+  // Splitting the rows over 1-4 workers, each with its own arena, must
+  // reproduce the pool-less call bit for bit: below, at and around the
+  // 16-lane chunk boundaries, at the acquisition scan's size, in exact and
+  // sparse mode, on the fast and the scalar kernels.
+  mt19937_64 gen(19);
+  size_t n = 40, d = 5;
+  std::vector<Vec> xs = RandomPoints(n, d, &gen);
+  Vec ys = RandomTargets(n, &gen);
+  for (bool scalar : {false, true}) {
+    SetScalarKernelsForTesting(scalar);
+    for (size_t max_exact : {size_t{0}, size_t{20}}) {
+      GpHyperParams params{KernelType::kMatern52, {}, 1.0, 1e-4};
+      params.max_exact_points = max_exact;
+      GaussianProcess gp(params);
+      ASSERT_TRUE(gp.Fit(xs, ys).ok());
+      ASSERT_EQ(gp.sparse(), max_exact > 0);
+      for (size_t m : {1, 15, 16, 17, 63, 64, 65, 2000}) {
+        Matrix cands = RandomCandidates(m, d, &gen);
+        GpScratch serial_scratch;
+        std::vector<GpPrediction> serial;
+        gp.PredictBatch(cands, &serial_scratch, &serial);
+        for (size_t threads = 1; threads <= 4; ++threads) {
+          ThreadPool pool(threads);
+          GpScratch scratch;
+          std::vector<GpPrediction> pooled;
+          gp.PredictBatch(cands, &scratch, &pooled, &pool);
+          ASSERT_EQ(pooled.size(), m);
+          for (size_t r = 0; r < m; ++r) {
+            ASSERT_TRUE(SameBits(pooled[r].mean, serial[r].mean))
+                << "scalar=" << scalar << " sparse=" << gp.sparse()
+                << " m=" << m << " threads=" << threads << " r=" << r;
+            ASSERT_TRUE(SameBits(pooled[r].variance, serial[r].variance))
+                << "scalar=" << scalar << " sparse=" << gp.sparse()
+                << " m=" << m << " threads=" << threads << " r=" << r;
+          }
+        }
+      }
+    }
+  }
+  SetScalarKernelsForTesting(false);
+}
+
 TEST(GpBatch, BuildKernelRowsMatchesPerPointAndReusesStorage) {
   mt19937_64 gen(11);
   size_t n = 21, d = 6, m = 13;

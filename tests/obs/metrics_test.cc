@@ -13,6 +13,7 @@
 
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
+#include "tests/testing_util.h"
 
 namespace atune {
 namespace {
@@ -199,7 +200,7 @@ TEST(MetricsTest, SnapshotIsSortedByNameWithStableJson) {
 TEST(MetricsTest, PublishJsonWritesSnapshotAtomically) {
   MetricsRegistry registry;
   registry.GetCounter("published.counter")->Increment(7);
-  const std::string path = ::testing::TempDir() + "/metrics_publish.json";
+  const std::string path = testing_util::TestTempPath("metrics.json");
   std::remove(path.c_str());
   ASSERT_TRUE(registry.PublishJson(path).ok());
   FILE* f = std::fopen(path.c_str(), "rb");

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/trace.h"
+#include "tests/testing_util.h"
 
 namespace atune {
 namespace {
@@ -83,7 +84,7 @@ TEST(TraceExportTest, WriteChromeTraceIsExactFileImage) {
   uint64_t tick = 0;
   Tracer tracer([&tick]() { return tick += 1000; });
   RecordExemplarSession(&tracer);
-  const std::string path = ::testing::TempDir() + "/trace_export_golden.json";
+  const std::string path = testing_util::TestTempPath("trace.json");
   std::remove(path.c_str());
   ASSERT_TRUE(tracer.WriteChromeTrace(path).ok());
   FILE* f = std::fopen(path.c_str(), "rb");

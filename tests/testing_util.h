@@ -1,7 +1,11 @@
 #ifndef ATUNE_TESTS_TESTING_UTIL_H_
 #define ATUNE_TESTS_TESTING_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <memory>
+#include <string>
 
 #include "systems/dbms/dbms_system.h"
 #include "systems/dbms/dbms_workloads.h"
@@ -49,6 +53,24 @@ inline std::unique_ptr<SimulatedSpark> MakeTestSpark(uint64_t seed = 1,
       ClusterSpec::MakeUniform(nodes, node), seed);
   if (!noise) spark->set_noise_sigma(0.0);
   return spark;
+}
+
+/// A temp-dir path private to the running test: keyed on its suite, name
+/// and pid, so test cases that write "the same" file — or `ctest -j`
+/// running them as concurrent processes — never collide. `leaf` tells a
+/// test's files apart.
+inline std::string TestTempPath(const std::string& leaf) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string key =
+      info != nullptr
+          ? std::string(info->test_suite_name()) + "." + info->name()
+          : std::string("no_test");
+  for (char& c : key) {
+    if (c == '/') c = '_';  // parameterized names carry '/'
+  }
+  return ::testing::TempDir() + "/" + key + "." +
+         std::to_string(::getpid()) + "." + leaf;
 }
 
 /// A small OLAP workload that runs fast in tests.

@@ -1,7 +1,17 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <thread>
+
+#include "core/outcome_checksum.h"
+#include "core/session.h"
+#include "obs/metrics.h"
 #include "tests/core/mock_system.h"
 #include "tests/testing_util.h"
+#include "tuners/builtin.h"
 #include "tuners/experiment/adaptive_sampling.h"
 #include "tuners/experiment/ituned.h"
 #include "tuners/experiment/sard.h"
@@ -204,6 +214,86 @@ TEST(ITunedTest, RealDbmsWorkloadEndToEnd) {
   ASSERT_TRUE(tuner.Tune(&evaluator, &rng).ok());
   double default_obj = evaluator.history().front().objective;
   EXPECT_LT(evaluator.best()->objective, default_obj / 2.0);
+}
+
+// Serial iTuned at budget 14 on the test DBMS: the default, 8 LHS points
+// and 5 GP iterations, so the BO loop (and, on a multi-core host, the
+// session's think pool) runs.
+Result<TuningOutcome> RunSerialITunedSession(MetricsRegistry* metrics) {
+  auto dbms = MakeTestDbms(3, /*noise=*/true);
+  ITunedTuner tuner;
+  SessionOptions options;
+  options.budget.max_evaluations = 14;
+  options.seed = 29;
+  options.metrics = metrics;
+  return RunTuningSession(&tuner, dbms.get(), testing_util::SmallOlap(),
+                          options);
+}
+
+// Think-pool workers a GP session starts on this host (0: inline search).
+uint64_t ExpectedThinkThreads() {
+  size_t hw = std::thread::hardware_concurrency();
+  return hw > 1 ? std::min<size_t>(hw, 4) : 0;
+}
+
+TEST(ITunedTest, SerialSessionMatchesPinnedChecksum) {
+  // Pinned from the pool-less serial loop: running the hyper search and
+  // the acquisition scan on the think pool must not move a single bit.
+  MetricsRegistry metrics;
+  auto outcome = RunSerialITunedSession(&metrics);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(OutcomeChecksum(*outcome), 0xab1b08b1d92f7767ULL);
+  EXPECT_EQ(metrics.GetCounter("pool.think_host_threads")->Value(),
+            ExpectedThinkThreads());
+}
+
+TEST(ITunedTest, ForkedChildReproducesSession) {
+  // The think pool belongs to the session, so it is joined before a
+  // fork(): a child rerunning the session must start its own workers and
+  // finish, not wait on workers that exist only in the parent. The alarm
+  // turns such a hang into a SIGALRM death.
+  auto parent = RunSerialITunedSession(nullptr);
+  ASSERT_TRUE(parent.ok()) << parent.status().ToString();
+  const uint64_t expected = OutcomeChecksum(*parent);
+  std::fflush(stdout);
+  std::fflush(stderr);
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::alarm(60);
+    auto child = RunSerialITunedSession(nullptr);
+    ::_exit(child.ok() && OutcomeChecksum(*child) == expected ? 0 : 1);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus))
+      << "child killed by signal " << WTERMSIG(wstatus);
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0) << "child session diverged";
+}
+
+TEST(ThinkPoolTest, CheapTunersStartNoThinkThreads) {
+  // The think pool is created where a GP fit starts and nowhere else: the
+  // cheap tuners, serial or batched, leave the counter untouched.
+  TunerRegistry registry;
+  RegisterBuiltinTuners(&registry);
+  for (const char* name :
+       {"random-search", "grid-search", "recursive-random", "sard"}) {
+    for (size_t parallelism : {1, 4}) {
+      auto tuner = registry.Create(name);
+      ASSERT_TRUE(tuner.ok()) << name;
+      (*tuner)->set_parallelism(parallelism);
+      auto dbms = MakeTestDbms(5);
+      MetricsRegistry metrics;
+      SessionOptions options;
+      options.budget.max_evaluations = 20;
+      options.metrics = &metrics;
+      auto outcome = RunTuningSession(tuner->get(), dbms.get(),
+                                      testing_util::SmallOlap(), options);
+      ASSERT_TRUE(outcome.ok()) << name << ": " << outcome.status().ToString();
+      EXPECT_EQ(metrics.GetCounter("pool.think_host_threads")->Value(), 0u)
+          << name << " parallelism " << parallelism;
+    }
+  }
 }
 
 }  // namespace

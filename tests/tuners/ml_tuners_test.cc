@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/outcome_checksum.h"
 #include "tests/core/mock_system.h"
 #include "tests/testing_util.h"
 #include "tuners/ml_tuners/ernest.h"
@@ -48,6 +49,23 @@ TEST(OtterTuneTest, TunesDbmsUsingHistory) {
   EXPECT_EQ(tuner.knob_ranking().size(), dbms->space().dims());
   EXPECT_NE(tuner.Report().find("mapped to"), std::string::npos);
   EXPECT_LE(evaluator.used(), 15.0);
+}
+
+TEST(OtterTuneTest, SerialSessionMatchesPinnedHistory) {
+  // Pinned from the pool-less serial loop (5 GP recommendations after the
+  // default and 4 LHS probes): the pooled hyper search and 1500-candidate
+  // scan must reproduce it bit for bit.
+  auto dbms = MakeTestDbms(4, /*noise=*/true);
+  Workload target = MakeDbmsOlapWorkload(0.5);
+  OtterTuneRepository repo = BuildOtterTuneRepository(
+      dbms.get(), DefaultHistoryWorkloads("simulated-dbms", target.kind), 10,
+      13);
+  OtterTuneTuner tuner(std::move(repo), /*target_observations=*/4,
+                       /*top_knobs=*/6);
+  Evaluator evaluator(dbms.get(), target, TuningBudget{10});
+  Rng rng(31);
+  ASSERT_TRUE(tuner.Tune(&evaluator, &rng).ok());
+  EXPECT_EQ(HistoryChecksum(evaluator.history()), 0x1be829ab3db35117ULL);
 }
 
 TEST(OtterTuneTest, BuildsDefaultRepositoryWhenEmpty) {

@@ -13,7 +13,7 @@ using testing_util::MakeTestDbms;
 class RepositoryIoTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "atune_repo_test.txt";
+  std::string path_ = testing_util::TestTempPath("repo.txt");
 };
 
 TEST_F(RepositoryIoTest, SaveLoadRoundTrip) {

@@ -79,6 +79,14 @@
 #                                   # reruns the drift detector, drifting
 #                                   # workload, and adaptive-retune suites
 #                                   # under sanitizers.
+#   tools/run_checks.sh --think     # tsan preset, GP and iTuned/OtterTune
+#                                   # suites only: pooled-vs-serial GP bit-
+#                                   # identity, pinned serial sessions, the
+#                                   # think-pool thread count, and the fork
+#                                   # regression test — the code that puts
+#                                   # const GaussianProcess reads and its
+#                                   # thread_local buffers on the session's
+#                                   # worker threads (DESIGN.md §6)
 #   tools/run_checks.sh --coverage  # instrumented Debug build + full ctest +
 #                                   # per-directory line-coverage summary for
 #                                   # src/. Uses gcovr if installed, else
@@ -419,6 +427,24 @@ if [ "${1:-}" = "--drift" ]; then
   echo "drift checks passed: adaptive recovery >= 2x static after the shift,"
   echo "no budget leak under drift storms, whole-registry resume identical"
   echo "under drift with detection rounds matching live vs replay"
+  exit 0
+fi
+
+if [ "${1:-}" = "--think" ]; then
+  jobs="$(nproc 2>/dev/null || echo 2)"
+  echo "=== [think] tsan preset, GP + iTuned/OtterTune suites ==="
+  # Serial BO sessions run their hyper search and acquisition scan on the
+  # session's think pool: workers share one const GaussianProcess and each
+  # uses its own thread_local solve buffers and scratch arena.
+  cmake --preset tsan
+  cmake --build --preset tsan -j "$jobs" \
+      --target atune_ml_tests atune_tuners_tests
+  ./build-tsan/tests/atune_ml_tests --gtest_brief=1 \
+      --gtest_filter='GpBatch*:GaussianProcess*:GpTest*'
+  ./build-tsan/tests/atune_tuners_tests --gtest_brief=1 \
+      --gtest_filter='ITuned*:OtterTune*:ThinkPool*'
+  echo "think checks passed: pooled GP paths and pooled serial sessions"
+  echo "clean under tsan, forked child reruns its session"
   exit 0
 fi
 
