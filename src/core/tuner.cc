@@ -696,7 +696,8 @@ ThreadPool* Evaluator::thread_pool(size_t min_threads) {
 
 ThreadPool* Evaluator::think_pool() {
   // Capped small: the candidate waves are 16-24 fits or ~100 panel chunks,
-  // and every worker holds its own n x n probe while it runs.
+  // and every worker, like the calling thread that joins each wave, holds
+  // its own n x n probe while it runs.
   constexpr size_t kMaxThinkThreads = 4;
   size_t threads = std::min<size_t>(std::thread::hardware_concurrency(),
                                     kMaxThinkThreads);

@@ -282,9 +282,9 @@ size_t GaussianProcess::EvictOldest(size_t keep_last) {
   return evicted;
 }
 
-Status GaussianProcess::FitWithHyperSearch(const std::vector<Vec>& xs,
-                                           const Vec& ys, size_t budget,
-                                           Rng* rng, ThreadPool* pool) {
+Status GaussianProcess::FitWithHyperSearch(
+    const std::vector<Vec>& xs, const Vec& ys, size_t budget, Rng* rng,
+    ThreadPool* pool, const std::function<void()>& overlap) {
   if (xs.empty() || xs.size() != ys.size()) {
     return Status::InvalidArgument("GP Fit: empty data or size mismatch");
   }
@@ -330,9 +330,9 @@ Status GaussianProcess::FitWithHyperSearch(const std::vector<Vec>& xs,
 
   // Each scan fits candidates in ascending index order and keeps only its
   // own first strictly-better probe (a failed fit or NaN likelihood never
-  // compares greater), so at most one winning probe per worker is alive.
-  // Reducing the scans by (LML descending, index ascending) then picks
-  // exactly the candidate the serial loop picks.
+  // compares greater), so at most one winning probe per participant is
+  // alive. Reducing the scans by (LML descending, index ascending) then
+  // picks exactly the candidate the serial loop picks.
   struct Winner {
     double lml = -std::numeric_limits<double>::infinity();
     size_t index = std::numeric_limits<size_t>::max();
@@ -354,22 +354,23 @@ Status GaussianProcess::FitWithHyperSearch(const std::vector<Vec>& xs,
     return best;
   };
   std::atomic<size_t> next{0};
-  Winner best;
+  std::vector<std::future<Winner>> futures;
   if (pool != nullptr && num_candidates > 1) {
     size_t workers = std::min(pool->num_threads(), num_candidates);
-    std::vector<std::future<Winner>> futures;
     futures.reserve(workers);
     for (size_t w = 0; w < workers; ++w) {
       futures.push_back(pool->Submit([&scan, &next]() { return scan(&next); }));
     }
-    for (std::future<Winner>& future : futures) {
-      Winner w = future.get();
-      if (w.lml > best.lml || (w.lml == best.lml && w.index < best.index)) {
-        best = std::move(w);
-      }
+  }
+  if (overlap) overlap();
+  // The calling thread joins the claim once its own step is done; without
+  // a pool its scan is the whole search.
+  Winner best = scan(&next);
+  for (std::future<Winner>& future : futures) {
+    Winner w = future.get();
+    if (w.lml > best.lml || (w.lml == best.lml && w.index < best.index)) {
+      best = std::move(w);
     }
-  } else {
-    best = scan(&next);
   }
   if (best.index == std::numeric_limits<size_t>::max()) {
     // Every candidate produced a non-finite log marginal likelihood: the
@@ -416,12 +417,12 @@ GpPrediction GaussianProcess::Predict(const Vec& x) const {
   return out;
 }
 
-ScratchArena* GpScratch::RunArena(size_t run) {
-  if (run == 0) return &arena_;
-  while (run_arenas_.size() < run) {
-    run_arenas_.push_back(std::make_unique<ScratchArena>());
+ScratchArena* GpScratch::Arena(size_t participant) {
+  if (participant == 0) return &arena_;
+  while (worker_arenas_.size() < participant) {
+    worker_arenas_.push_back(std::make_unique<ScratchArena>());
   }
-  return run_arenas_[run - 1].get();
+  return worker_arenas_[participant - 1].get();
 }
 
 void GaussianProcess::PredictBatch(const Matrix& candidates, GpScratch* scratch,
@@ -430,29 +431,41 @@ void GaussianProcess::PredictBatch(const Matrix& candidates, GpScratch* scratch,
   size_t m = candidates.rows();
   out->assign(m, GpPrediction{});
   if (!fitted_ || m == 0) return;
-  size_t chunks = (m + kPanelLanes - 1) / kPanelLanes;
-  size_t runs = pool != nullptr ? std::min(pool->num_threads(), chunks) : 1;
-  if (runs <= 1) {
+  const size_t chunks = (m + kPanelLanes - 1) / kPanelLanes;
+  // Participant 0 is the calling thread, 1..workers the pool's.
+  const size_t workers =
+      pool != nullptr ? std::min(pool->num_threads(), chunks - 1) : 0;
+  if (workers == 0) {
     PredictRows(candidates, 0, m,
-                scratch != nullptr ? scratch->RunArena(0) : nullptr,
+                scratch != nullptr ? scratch->Arena(0) : nullptr,
                 out->data());
     return;
   }
-  // Contiguous runs of whole chunks: each row lands in the same lane
-  // position of the same chunk as in the single-run call, and rows never
-  // interact, so the split cannot change a bit.
+  // Every arena exists before any work is submitted: only this thread
+  // touches `scratch`.
+  if (scratch != nullptr) scratch->Arena(workers);
+  // Whole 16-lane chunks claimed one at a time: each row lands in the same
+  // lane of the same chunk as in the pool-less call, and rows never
+  // interact, so the split cannot change a bit. A late or descheduled
+  // participant costs at most the chunk it holds.
+  std::atomic<size_t> next_chunk{0};
   GpPrediction* rows = out->data();
+  auto claim = [this, &candidates, &next_chunk, chunks, m,
+                rows](ScratchArena* arena) {
+    for (size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+         c < chunks; c = next_chunk.fetch_add(1, std::memory_order_relaxed)) {
+      size_t begin = c * kPanelLanes;
+      PredictRows(candidates, begin, std::min(m, begin + kPanelLanes), arena,
+                  rows);
+    }
+  };
   std::vector<std::future<void>> futures;
-  futures.reserve(runs);
-  for (size_t r = 0; r < runs; ++r) {
-    size_t begin = std::min(m, chunks * r / runs * kPanelLanes);
-    size_t end = std::min(m, chunks * (r + 1) / runs * kPanelLanes);
-    ScratchArena* arena = scratch != nullptr ? scratch->RunArena(r) : nullptr;
-    futures.push_back(pool->Submit([this, &candidates, begin, end, arena,
-                                    rows]() {
-      PredictRows(candidates, begin, end, arena, rows);
-    }));
+  futures.reserve(workers);
+  for (size_t w = 1; w <= workers; ++w) {
+    ScratchArena* arena = scratch != nullptr ? scratch->Arena(w) : nullptr;
+    futures.push_back(pool->Submit([&claim, arena]() { claim(arena); }));
   }
+  claim(scratch != nullptr ? scratch->Arena(0) : nullptr);
   for (std::future<void>& future : futures) future.get();
 }
 

@@ -2,6 +2,7 @@
 #define ATUNE_ML_GAUSSIAN_PROCESS_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -45,10 +46,11 @@ struct GpPrediction {
 
 /// Reusable scratch for GaussianProcess::PredictBatch. Owns the arenas the
 /// batched kernels carve their candidate-transpose and kernel-row panels
-/// from — one per row run, so a pooled batch gives every worker its own;
-/// after the first batch at a given (n, d) it is in steady state and a
-/// pool-less PredictBatch call performs zero heap allocations. One scratch
-/// per calling thread — it is not synchronized.
+/// from — one per participant, so in a pooled batch the calling thread and
+/// every worker each have their own; after the first batch at a given
+/// (n, d) it is in steady state and a pool-less PredictBatch call performs
+/// zero heap allocations. One scratch per calling thread — it is not
+/// synchronized.
 class GpScratch {
  public:
   GpScratch() = default;
@@ -57,11 +59,12 @@ class GpScratch {
 
  private:
   friend class GaussianProcess;
-  /// Arena of row run `run` (run 0 is the pool-less path's).
-  ScratchArena* RunArena(size_t run);
+  /// Arena of PredictBatch participant `participant` (0 is the calling
+  /// thread's), creating the arenas up to it on first use.
+  ScratchArena* Arena(size_t participant);
 
   ScratchArena arena_;
-  std::vector<std::unique_ptr<ScratchArena>> run_arenas_;  // runs 1..
+  std::vector<std::unique_ptr<ScratchArena>> worker_arenas_;  // 1..
 };
 
 /// Gaussian-process regression, the surrogate model behind iTuned [9] and
@@ -112,13 +115,21 @@ class GaussianProcess {
   /// random search of `budget` candidate hyperparameter settings and keeps
   /// the winning candidate's fit as the model (no refit: the probe already
   /// ran Fit on the same data with the same params). With a non-null `pool`,
-  /// candidate fits are evaluated concurrently on it, each worker keeping
-  /// only its own best probe; candidates are pre-drawn from `rng` and ties
-  /// broken by candidate index, so the winner — and therefore the fitted
-  /// model — is identical to the serial search.
+  /// candidate fits are evaluated concurrently by its workers and the
+  /// calling thread, each keeping only its own best probe; candidates are
+  /// pre-drawn from `rng` and ties broken by candidate index, so the winner
+  /// — and therefore the fitted model — is identical to the serial search.
+  ///
+  /// `overlap`, when set, runs exactly once on the calling thread after
+  /// every candidate has been drawn from `rng` and before the caller scores
+  /// any (with a pool, while the workers score them) — also when the
+  /// search then fails with kInternal, but not when the arguments are
+  /// rejected. Work it does that draws from `rng` lands after the
+  /// hyperparameter draws, just as if it ran after the search returned.
   Status FitWithHyperSearch(const std::vector<Vec>& xs, const Vec& ys,
                             size_t budget, Rng* rng,
-                            ThreadPool* pool = nullptr);
+                            ThreadPool* pool = nullptr,
+                            const std::function<void()>& overlap = {});
 
   /// Posterior mean/variance at x. Requires a successful Fit.
   GpPrediction Predict(const Vec& x) const;
@@ -131,11 +142,12 @@ class GaussianProcess {
   /// memory traffic (internal::ForwardSolvePanel), which is where the
   /// acquisition-scan speedup gated by bench_hotpath comes from. `scratch`
   /// provides the panel storage and is reused across calls; `out` is
-  /// resized (capacity persists for the caller's reuse). With a `pool` of
-  /// more than one thread the rows are split into contiguous runs of whole
-  /// 16-lane chunks, one per worker, each scored with its own scratch arena
-  /// into disjoint output rows — every row is computed exactly as without
-  /// the pool, so the output is bit-identical.
+  /// resized (capacity persists for the caller's reuse). With a `pool` the
+  /// pool's workers and the calling thread claim whole 16-lane chunks one
+  /// at a time from a shared counter, each scoring with its own scratch
+  /// arena into disjoint output rows — every chunk's rows, lanes and
+  /// padding are those of the pool-less call, so the output is
+  /// bit-identical.
   void PredictBatch(const Matrix& candidates, GpScratch* scratch,
                     std::vector<GpPrediction>* out,
                     ThreadPool* pool = nullptr) const;

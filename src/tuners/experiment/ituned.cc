@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "common/string_util.h"
@@ -31,25 +32,12 @@ struct AcquisitionWorkspace {
   GpScratch gp;
 };
 
-/// Acquisition-maximizing candidate over `acquisition_candidates` random
-/// proposals (a third perturb the incumbent). Shared by the serial loop and
-/// the constant-liar batch loop; `xs`/`ys` may include liar observations.
-///
-/// The candidates are pre-generated into ws->cands with exactly the rng draw
-/// order of the old per-point loop (Predict consumed no randomness), then
-/// predicted (on `pool` when non-null) and scored as whole batches; the
-/// strict-> argmax in index order therefore selects the bit-identical winner
-/// the per-point scan did.
-Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
-                     const std::vector<Vec>& xs, const Vec& ys, size_t dims,
-                     Rng* rng, ThreadPool* pool, AcquisitionWorkspace* ws,
-                     double* best_acq_out) {
-  ScopedSpan span(CurrentTracer(), "acquisition");
-  if (span.active()) {
-    span.AddArg("candidates", std::to_string(options.acquisition_candidates));
-    span.AddArg("kind", options.acquisition);
-  }
-  double best_log = *std::min_element(ys.begin(), ys.end());
+/// Draws the `acquisition_candidates` random proposals of one iteration
+/// into ws->cands, a third of them perturbing the incumbent — the rng draw
+/// order of the old per-point loop (Predict consumed no randomness).
+void GenerateCandidates(const ITunedOptions& options,
+                        const std::vector<Vec>& xs, const Vec& ys,
+                        size_t dims, Rng* rng, AcquisitionWorkspace* ws) {
   size_t m = options.acquisition_candidates;
   if (ws->cands.rows() != m || ws->cands.cols() != dims) {
     ws->cands = Matrix(m, dims);
@@ -72,6 +60,15 @@ Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
       for (size_t d = 0; d < dims; ++d) cand[d] = rng->Uniform();
     }
   }
+}
+
+/// Acquisition-maximizing row of ws->cands: predicted (on `pool` when
+/// non-null) and scored as whole batches; the strict-> argmax in index
+/// order selects the bit-identical winner the per-point scan did.
+Vec ScoreCandidates(const GaussianProcess& gp, const ITunedOptions& options,
+                    const Vec& ys, ThreadPool* pool, AcquisitionWorkspace* ws,
+                    double* best_acq_out) {
+  double best_log = *std::min_element(ys.begin(), ys.end());
   gp.PredictBatch(ws->cands, &ws->gp, &ws->preds, pool);
   if (options.acquisition == "pi") {
     ProbabilityOfImprovementBatch(ws->preds, best_log, 0.0, &ws->acq);
@@ -80,6 +77,7 @@ Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
   } else {
     ExpectedImprovementBatch(ws->preds, best_log, 0.0, &ws->acq);
   }
+  size_t m = ws->cands.rows();
   double best_acq = -std::numeric_limits<double>::infinity();
   Vec next;
   size_t best_i = m;
@@ -92,6 +90,16 @@ Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
   if (best_i < m) next = ws->cands.Row(best_i);
   if (best_acq_out != nullptr) *best_acq_out = best_acq;
   return next;
+}
+
+/// Annotates an `acquisition` span; `phase` tells the serial loop's
+/// generation (overlapping the hyper search) from its scoring.
+void AnnotateAcquisition(ScopedSpan* span, const ITunedOptions& options,
+                         const char* phase) {
+  if (!span->active()) return;
+  span->AddArg("candidates", std::to_string(options.acquisition_candidates));
+  span->AddArg("kind", options.acquisition);
+  if (phase != nullptr) span->AddArg("phase", phase);
 }
 
 }  // namespace
@@ -138,13 +146,23 @@ Status ITunedTuner::Tune(Evaluator* evaluator, Rng* rng) {
     // never starts the pool; after the first call it is a lookup.
     ThreadPool* pool = evaluator->think_pool();
     GaussianProcess gp(GpHyperParams{options_.kernel, {}, 1.0, 1e-4});
-    Status fit =
-        gp.FitWithHyperSearch(xs, ys, options_.gp_hyper_budget, rng, pool);
+    // The candidates do not depend on the model, so the calling thread
+    // draws them while the pool runs the hyper search — after its
+    // hyperparameter draws, the same rng order as drawing them afterwards.
+    std::optional<Rng> rewind;
+    Status fit = gp.FitWithHyperSearch(
+        xs, ys, options_.gp_hyper_budget, rng, pool, [&]() {
+          rewind = *rng;
+          ScopedSpan span(CurrentTracer(), "acquisition");
+          AnnotateAcquisition(&span, options_, "generate");
+          GenerateCandidates(options_, xs, ys, dims, rng, &ws);
+        });
     Vec next;
     if (fit.ok()) {
       model_failures = 0;
-      next = ProposeCandidate(gp, options_, xs, ys, dims, rng, pool, &ws,
-                              &last_acq);
+      ScopedSpan span(CurrentTracer(), "acquisition");
+      AnnotateAcquisition(&span, options_, "score");
+      next = ScoreCandidates(gp, options_, ys, pool, &ws, &last_acq);
     } else {
       // Degenerate GP (e.g. constant responses): one-off failures fall back
       // to a random draw, which usually adds enough diversity to recover.
@@ -152,6 +170,12 @@ Status ITunedTuner::Tune(Evaluator* evaluator, Rng* rng) {
       // (NaN objectives, duplicated designs) and no amount of random
       // sampling inside this loop repairs the surrogate — escalate so a
       // supervision layer can fail over.
+      //
+      // The failed search already drew this iteration's candidates: rewind
+      // first, so both the fallback draw and an escalation (whose rng the
+      // supervisor hands on to the fallback tuner) see it as if none were
+      // drawn.
+      if (rewind.has_value()) *rng = *rewind;
       if (++model_failures >= kMaxConsecutiveModelFailures) return fit;
       next.resize(dims);
       for (double& x : next) x = rng->Uniform();
@@ -252,8 +276,13 @@ Status ITunedTuner::TuneBatch(Evaluator* evaluator, Rng* rng) {
       std::vector<Vec> lie_xs = xs;
       Vec lie_ys = ys;
       for (size_t j = 0; j < k; ++j) {
-        Vec cand = ProposeCandidate(gp, options_, lie_xs, lie_ys, dims, rng,
-                                    pool, &ws, &last_acq);
+        Vec cand;
+        {
+          ScopedSpan span(CurrentTracer(), "acquisition");
+          AnnotateAcquisition(&span, options_, nullptr);
+          GenerateCandidates(options_, lie_xs, lie_ys, dims, rng, &ws);
+          cand = ScoreCandidates(gp, options_, lie_ys, pool, &ws, &last_acq);
+        }
         batch.push_back(space.FromUnitVector(cand));
         if (j + 1 < k) {
           // Liar update; a degenerate append falls back to a full refit

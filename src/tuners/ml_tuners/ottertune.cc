@@ -5,6 +5,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/file_util.h"
@@ -373,21 +374,20 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
     }
 
     ThreadPool* pool = evaluator->think_pool();
-    GaussianProcess gp;
-    Status fit = gp.FitWithHyperSearch(xs, ys, 16, rng, pool);
-    Vec next(dims);
     Vec incumbent = target_configs[static_cast<size_t>(
         std::min_element(target_objectives.begin(), target_objectives.end()) -
         target_objectives.begin())];
-    if (fit.ok()) {
-      model_failures = 0;
-      ScopedSpan acq_span(CurrentTracer(), "acquisition");
-      if (acq_span.active()) acq_span.AddArg("candidates", "1500");
-      double best_log = *std::min_element(target_objectives.begin(),
-                                          target_objectives.end());
-      // Pre-generate all candidates with the per-point loop's exact rng draw
-      // order, then predict and score them as one batch; the index-order
-      // strict-> argmax picks the bit-identical winner the scalar scan did.
+    // The candidates depend only on the incumbent and the knob order, so the
+    // calling thread draws them while the pool runs the hyper search — after
+    // its hyperparameter draws, the per-point loop's exact rng order.
+    std::optional<Rng> rewind;
+    auto generate = [&]() {
+      rewind = *rng;
+      ScopedSpan span(CurrentTracer(), "acquisition");
+      if (span.active()) {
+        span.AddArg("candidates", "1500");
+        span.AddArg("phase", "generate");
+      }
       for (size_t c = 0; c < kAcqCandidates; ++c) {
         double* cand = acq_cands.RowPtr(c);
         // Non-top knobs stay at the incumbent.
@@ -400,6 +400,21 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
                         : rng->Uniform();
         }
       }
+    };
+    GaussianProcess gp;
+    Status fit = gp.FitWithHyperSearch(xs, ys, 16, rng, pool, generate);
+    Vec next(dims);
+    if (fit.ok()) {
+      model_failures = 0;
+      ScopedSpan acq_span(CurrentTracer(), "acquisition");
+      if (acq_span.active()) {
+        acq_span.AddArg("candidates", "1500");
+        acq_span.AddArg("phase", "score");
+      }
+      double best_log = *std::min_element(target_objectives.begin(),
+                                          target_objectives.end());
+      // Predicted and scored as one batch; the index-order strict-> argmax
+      // picks the bit-identical winner the scalar scan did.
       gp.PredictBatch(acq_cands, &gp_scratch, &acq_preds, pool);
       ExpectedImprovementBatch(acq_preds, best_log, 0.0, &acq_values);
       double best_acq = -std::numeric_limits<double>::infinity();
@@ -415,6 +430,12 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
       // One-off GP failures fall back to perturbing the incumbent; three in
       // a row mean the training set itself is numerically poisoned —
       // escalate so a supervision layer can fail over.
+      //
+      // The failed search already drew this iteration's candidates: rewind
+      // first, so both the fallback draw and an escalation (whose rng the
+      // supervisor hands on to the fallback tuner) see it as if none were
+      // drawn.
+      if (rewind.has_value()) *rng = *rewind;
       if (++model_failures >= 3) return fit;
       next = incumbent;
       for (size_t j = 0; j < k; ++j) {

@@ -12,12 +12,13 @@
 #include <string>
 
 #include "common/file_util.h"
+#include "tests/testing_util.h"
 
 namespace atune {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing_util::TestTempPath(name);
 }
 
 std::string Slurp(const std::string& path) {

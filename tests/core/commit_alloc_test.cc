@@ -14,6 +14,7 @@
 #include "core/journal.h"
 #include "core/tuner.h"
 #include "tests/core/mock_system.h"
+#include "tests/testing_util.h"
 
 namespace atune {
 namespace {
@@ -22,7 +23,7 @@ using testing_util::MockWorkload;
 using testing_util::QuadraticSystem;
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing_util::TestTempPath(name);
 }
 
 TEST(CommitAlloc, HookIsInstalledInThisBinary) {

@@ -50,7 +50,7 @@ JournalRecord TestRecord(uint64_t seq) {
 }
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing_util::TestTempPath(name);
 }
 
 uint64_t RecoveredCount(const std::string& path) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/file_util.h"
+#include "tests/testing_util.h"
 
 namespace atune {
 namespace {
@@ -43,7 +44,7 @@ JournalRecord TestRecord(uint64_t seq) {
 }
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing_util::TestTempPath(name);
 }
 
 void WriteJournal(const std::string& path, size_t records) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/file_util.h"
+#include "tests/testing_util.h"
 
 namespace atune {
 namespace {
@@ -55,7 +56,7 @@ JournalRecord TestRecord(uint64_t seq) {
 }
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing_util::TestTempPath(name);
 }
 
 // Writes a journal with `n` records and returns its path.

@@ -30,14 +30,16 @@
 
 #include "common/file_util.h"
 #include "common/io_env.h"
+#include "common/string_util.h"
 #include "core/knowledge_repo.h"
+#include "tests/testing_util.h"
 
 namespace atune {
 namespace {
 
 std::string TempDirFor(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  // Start from an empty directory: tests re-run in the same TempDir.
+  std::string dir = testing_util::TestTempPath(name);
+  // Start from an empty directory, even if a recycled pid left one behind.
   std::string cleanup = "rm -rf '" + dir + "'";
   (void)std::system(cleanup.c_str());
   return dir;
@@ -156,8 +158,7 @@ TEST(KnowledgeRepoTest, ConcurrentIngestStormNeverTearsShards) {
     writers.emplace_back([&repo, &failures, t] {
       for (size_t i = 0; i < kPerThread; ++i) {
         KnowledgeRecord rec =
-            TestRecord("t" + std::to_string(t) + "-s" + std::to_string(i),
-                       double(t * 100 + i));
+            TestRecord(StrFormat("t%zu-s%zu", t, i), double(t * 100 + i));
         if (!repo.Ingest(rec).ok()) failures.fetch_add(1);
       }
     });
@@ -423,8 +424,7 @@ TEST(KnowledgeRepoTest, EightThreadIngestWhileCompacting) {
     writers.emplace_back([&repo, &failures, &writers_left, t] {
       for (size_t i = 0; i < kPerThread; ++i) {
         KnowledgeRecord rec =
-            TestRecord("t" + std::to_string(t) + "-s" + std::to_string(i),
-                       double(t * 100 + i));
+            TestRecord(StrFormat("t%zu-s%zu", t, i), double(t * 100 + i));
         if (!repo.Ingest(rec).ok()) failures.fetch_add(1);
       }
       writers_left.fetch_sub(1);

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -125,6 +126,36 @@ class ScriptedSystem : public TunableSystem {
  private:
   ParameterSpace space_;
   std::deque<ExecutionResult> script_;
+  size_t executions_ = 0;
+};
+
+/// Delegates to `inner` but reports a NaN runtime from execution
+/// `healthy_runs` + 1 on. One NaN observation makes every later GP hyper
+/// search fail (kInternal), so the BO loops take their random-draw
+/// fallback until they escalate.
+class NanAfterSystem : public TunableSystem {
+ public:
+  NanAfterSystem(TunableSystem* inner, size_t healthy_runs)
+      : inner_(inner), healthy_runs_(healthy_runs) {}
+
+  std::string name() const override { return inner_->name(); }
+  const ParameterSpace& space() const override { return inner_->space(); }
+  std::vector<std::string> MetricNames() const override {
+    return inner_->MetricNames();
+  }
+
+  Result<ExecutionResult> Execute(const Configuration& config,
+                                  const Workload& workload) override {
+    Result<ExecutionResult> r = inner_->Execute(config, workload);
+    if (r.ok() && ++executions_ > healthy_runs_) {
+      r->runtime_seconds = std::numeric_limits<double>::quiet_NaN();
+    }
+    return r;
+  }
+
+ private:
+  TunableSystem* inner_;
+  size_t healthy_runs_;
   size_t executions_ = 0;
 };
 

@@ -26,7 +26,7 @@ constexpr uint64_t kSeed = 11;
 constexpr double kFaultRate = 0.15;
 
 std::string JournalPath(const std::string& name) {
-  return ::testing::TempDir() + "/resume_" + name + ".wal";
+  return testing_util::TestTempPath("resume_" + name + ".wal");
 }
 
 struct SessionRun {

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
+#include <thread>
 
 namespace atune {
 namespace {
@@ -78,6 +80,44 @@ TEST(GpTest, HyperSearchRejectsDegenerateDesign) {
   EXPECT_EQ(fit.code(), StatusCode::kInternal);
 }
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// 30 points of a smooth 3-d response, the pool tests' shared design.
+void PoolTestData(std::vector<Vec>* xs, Vec* ys) {
+  Rng data(21);
+  for (size_t i = 0; i < 30; ++i) {
+    Vec x = {data.Uniform(), data.Uniform(), data.Uniform()};
+    ys->push_back(std::sin(5.0 * x[0]) + x[1] * x[2]);
+    xs->push_back(std::move(x));
+  }
+}
+
+// Same hyperparameters, likelihood and posterior bits.
+void ExpectSameModel(const GaussianProcess& a, const GaussianProcess& b,
+                     const std::string& what) {
+  ASSERT_EQ(a.params().lengthscales.size(), b.params().lengthscales.size());
+  for (size_t j = 0; j < a.params().lengthscales.size(); ++j) {
+    EXPECT_TRUE(
+        SameBits(a.params().lengthscales[j], b.params().lengthscales[j]))
+        << what;
+  }
+  EXPECT_TRUE(SameBits(a.params().signal_variance, b.params().signal_variance))
+      << what;
+  EXPECT_TRUE(SameBits(a.params().noise_variance, b.params().noise_variance))
+      << what;
+  EXPECT_EQ(a.sparse(), b.sparse()) << what;
+  EXPECT_TRUE(SameBits(a.LogMarginalLikelihood(), b.LogMarginalLikelihood()))
+      << what;
+  for (double t : {0.1, 0.45, 0.8}) {
+    GpPrediction pa = a.Predict({t, 1.0 - t, 0.5});
+    GpPrediction pb = b.Predict({t, 1.0 - t, 0.5});
+    EXPECT_TRUE(SameBits(pa.mean, pb.mean)) << what;
+    EXPECT_TRUE(SameBits(pa.variance, pb.variance)) << what;
+  }
+}
+
 TEST(GaussianProcessPoolTest, PooledHyperSearchBitIdenticalToSerial) {
   // The pooled search must keep the serial winner — same params, same
   // likelihood, same posterior bits — and that winner must be exactly the
@@ -85,37 +125,7 @@ TEST(GaussianProcessPoolTest, PooledHyperSearchBitIdenticalToSerial) {
   // refit). Sparse mode rides along: its probes score the DTC likelihood.
   std::vector<Vec> xs;
   Vec ys;
-  Rng data(21);
-  for (size_t i = 0; i < 30; ++i) {
-    Vec x = {data.Uniform(), data.Uniform(), data.Uniform()};
-    ys.push_back(std::sin(5.0 * x[0]) + x[1] * x[2]);
-    xs.push_back(std::move(x));
-  }
-  auto same = [](double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-  };
-  auto expect_same_model = [&](const GaussianProcess& a,
-                               const GaussianProcess& b,
-                               const std::string& what) {
-    ASSERT_EQ(a.params().lengthscales.size(), b.params().lengthscales.size());
-    for (size_t j = 0; j < a.params().lengthscales.size(); ++j) {
-      EXPECT_TRUE(same(a.params().lengthscales[j], b.params().lengthscales[j]))
-          << what;
-    }
-    EXPECT_TRUE(same(a.params().signal_variance, b.params().signal_variance))
-        << what;
-    EXPECT_TRUE(same(a.params().noise_variance, b.params().noise_variance))
-        << what;
-    EXPECT_EQ(a.sparse(), b.sparse()) << what;
-    EXPECT_TRUE(same(a.LogMarginalLikelihood(), b.LogMarginalLikelihood()))
-        << what;
-    for (double t : {0.1, 0.45, 0.8}) {
-      GpPrediction pa = a.Predict({t, 1.0 - t, 0.5});
-      GpPrediction pb = b.Predict({t, 1.0 - t, 0.5});
-      EXPECT_TRUE(same(pa.mean, pb.mean)) << what;
-      EXPECT_TRUE(same(pa.variance, pb.variance)) << what;
-    }
-  };
+  PoolTestData(&xs, &ys);
   for (size_t max_exact : {size_t{0}, size_t{12}}) {
     for (size_t budget : {1, 5, 16, 24}) {
       GpHyperParams params;
@@ -126,7 +136,7 @@ TEST(GaussianProcessPoolTest, PooledHyperSearchBitIdenticalToSerial) {
       EXPECT_EQ(serial.sparse(), max_exact > 0);
       GaussianProcess refit(serial.params());
       ASSERT_TRUE(refit.Fit(xs, ys).ok());
-      expect_same_model(serial, refit, "winner reuse vs refit");
+      ExpectSameModel(serial, refit, "winner reuse vs refit");
       const double serial_next_draw = serial_rng.Uniform();
       for (size_t threads = 1; threads <= 4; ++threads) {
         ThreadPool pool(threads);
@@ -134,14 +144,91 @@ TEST(GaussianProcessPoolTest, PooledHyperSearchBitIdenticalToSerial) {
         Rng pooled_rng(budget);
         ASSERT_TRUE(
             pooled.FitWithHyperSearch(xs, ys, budget, &pooled_rng, &pool).ok());
-        expect_same_model(serial, pooled,
-                          "budget " + std::to_string(budget) + " threads " +
-                              std::to_string(threads) + " max_exact " +
-                              std::to_string(max_exact));
-        EXPECT_TRUE(same(serial_next_draw, pooled_rng.Uniform()))
+        ExpectSameModel(serial, pooled,
+                        "budget " + std::to_string(budget) + " threads " +
+                            std::to_string(threads) + " max_exact " +
+                            std::to_string(max_exact));
+        EXPECT_TRUE(SameBits(serial_next_draw, pooled_rng.Uniform()))
             << "pooled search drew a different number of candidates";
       }
     }
+  }
+}
+
+TEST(GaussianProcessPoolTest, OverlapStepRunsOnceOnCallerAfterHyperDraws) {
+  // The overlap step runs exactly once, on the calling thread, whether the
+  // search is pooled or not and whether it succeeds or fails with
+  // kInternal; it never runs when the arguments are rejected. Its draws
+  // land after the hyperparameter draws: the model, the step's draws and
+  // the rng position all equal a search without the step followed by the
+  // same draws.
+  std::vector<Vec> xs;
+  Vec ys;
+  PoolTestData(&xs, &ys);
+  constexpr size_t kDraws = 50;
+  struct StepLog {
+    size_t calls = 0;
+    bool on_caller = false;
+    Vec draws;
+  };
+  auto step_for = [](StepLog* log, Rng* rng) {
+    return [log, rng, caller = std::this_thread::get_id()]() {
+      ++log->calls;
+      log->on_caller = std::this_thread::get_id() == caller;
+      log->draws.resize(kDraws);
+      for (double& d : log->draws) d = rng->Uniform();
+    };
+  };
+  std::vector<Vec> nan_xs(5, Vec{0.5, 0.5});
+  Vec nan_ys(5, std::numeric_limits<double>::quiet_NaN());
+  for (size_t threads = 0; threads <= 4; ++threads) {
+    std::unique_ptr<ThreadPool> pool =
+        threads > 0 ? std::make_unique<ThreadPool>(threads) : nullptr;
+    const std::string what = "threads " + std::to_string(threads);
+
+    GaussianProcess reference;
+    Rng reference_rng(7);
+    ASSERT_TRUE(reference.FitWithHyperSearch(xs, ys, 24, &reference_rng).ok());
+    Vec reference_draws(kDraws);
+    for (double& d : reference_draws) d = reference_rng.Uniform();
+
+    GaussianProcess gp;
+    Rng rng(7);
+    StepLog log;
+    ASSERT_TRUE(gp.FitWithHyperSearch(xs, ys, 24, &rng, pool.get(),
+                                      step_for(&log, &rng))
+                    .ok());
+    EXPECT_EQ(log.calls, 1u) << what;
+    EXPECT_TRUE(log.on_caller) << what;
+    ASSERT_EQ(log.draws.size(), kDraws);
+    for (size_t i = 0; i < kDraws; ++i) {
+      EXPECT_TRUE(SameBits(log.draws[i], reference_draws[i])) << what;
+    }
+    ExpectSameModel(reference, gp, what);
+    EXPECT_TRUE(SameBits(reference_rng.Uniform(), rng.Uniform())) << what;
+
+    GaussianProcess degenerate;
+    Rng nan_rng(3);
+    StepLog nan_log;
+    EXPECT_EQ(degenerate
+                  .FitWithHyperSearch(nan_xs, nan_ys, 10, &nan_rng, pool.get(),
+                                      step_for(&nan_log, &nan_rng))
+                  .code(),
+              StatusCode::kInternal)
+        << what;
+    EXPECT_EQ(nan_log.calls, 1u) << what;
+    EXPECT_TRUE(nan_log.on_caller) << what;
+
+    GaussianProcess rejected;
+    Rng rejected_rng(3);
+    StepLog rejected_log;
+    EXPECT_EQ(rejected
+                  .FitWithHyperSearch({}, {}, 10, &rejected_rng, pool.get(),
+                                      step_for(&rejected_log, &rejected_rng))
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(rejected_log.calls, 0u) << what;
   }
 }
 

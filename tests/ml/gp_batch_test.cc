@@ -4,6 +4,7 @@
 // fast-vs-scalar A/B switch over a full Fit/AddObservation/Predict cycle.
 
 #include <cstring>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -121,14 +122,20 @@ TEST(GpBatch, PredictBatchNullScratchFallsBack) {
 }
 
 TEST(GpBatch, PooledPredictBatchBitIdenticalToNoPool) {
-  // Splitting the rows over 1-4 workers, each with its own arena, must
-  // reproduce the pool-less call bit for bit: below, at and around the
-  // 16-lane chunk boundaries, at the acquisition scan's size, in exact and
+  // 1-4 workers and the calling thread claim 16-lane chunks, each with its
+  // own arena of one GpScratch reused across every pool size; the result
+  // must reproduce the pool-less call bit for bit: below, at and around
+  // the chunk boundaries, at the acquisition scan's size, in exact and
   // sparse mode, on the fast and the scalar kernels.
   mt19937_64 gen(19);
   size_t n = 40, d = 5;
   std::vector<Vec> xs = RandomPoints(n, d, &gen);
   Vec ys = RandomTargets(n, &gen);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (size_t threads = 1; threads <= 4; ++threads) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  GpScratch scratch;
   for (bool scalar : {false, true}) {
     SetScalarKernelsForTesting(scalar);
     for (size_t max_exact : {size_t{0}, size_t{20}}) {
@@ -142,11 +149,10 @@ TEST(GpBatch, PooledPredictBatchBitIdenticalToNoPool) {
         GpScratch serial_scratch;
         std::vector<GpPrediction> serial;
         gp.PredictBatch(cands, &serial_scratch, &serial);
-        for (size_t threads = 1; threads <= 4; ++threads) {
-          ThreadPool pool(threads);
-          GpScratch scratch;
+        // Growing and shrinking pool sizes over the same scratch.
+        for (size_t threads : {4, 1, 3, 2}) {
           std::vector<GpPrediction> pooled;
-          gp.PredictBatch(cands, &scratch, &pooled, &pool);
+          gp.PredictBatch(cands, &scratch, &pooled, pools[threads - 1].get());
           ASSERT_EQ(pooled.size(), m);
           for (size_t r = 0; r < m; ++r) {
             ASSERT_TRUE(SameBits(pooled[r].mean, serial[r].mean))

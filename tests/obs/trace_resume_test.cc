@@ -120,7 +120,7 @@ Result<std::unique_ptr<Tuner>> MakeTunerFor(const std::string& spec) {
 }
 
 std::string JournalPath(const std::string& name) {
-  return ::testing::TempDir() + "/trace_resume_" + name + ".wal";
+  return testing_util::TestTempPath("trace_resume_" + name + ".wal");
 }
 
 struct TracedRun {

@@ -36,7 +36,7 @@ namespace {
 constexpr uint64_t kSeed = 17;
 
 std::string JournalPath(const std::string& name) {
-  return ::testing::TempDir() + "/adaptive_" + name + ".wal";
+  return testing_util::TestTempPath("adaptive_" + name + ".wal");
 }
 
 TunerFactory RandomSearchFactory() {

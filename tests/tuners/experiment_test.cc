@@ -271,6 +271,27 @@ TEST(ITunedTest, ForkedChildReproducesSession) {
   EXPECT_EQ(WEXITSTATUS(wstatus), 0) << "child session diverged";
 }
 
+TEST(ITunedTest, SerialFallbackAfterNanMatchesPinnedHistory) {
+  // The 10th observation, the first GP iteration's, is NaN, so every later
+  // hyper search fails and the loop falls back to a random draw, twice,
+  // before escalating. Each failed search has already drawn its
+  // acquisition candidates; the fallback must draw exactly what the loop
+  // drew before candidates were generated during the search, and the
+  // escalation must leave the rng where that loop left it, since a
+  // supervisor hands it on to the fallback tuner. Pinned from the loop that
+  // generated candidates only after a successful fit.
+  QuadraticSystem inner;
+  testing_util::NanAfterSystem system(&inner, /*healthy_runs=*/9);
+  ITunedTuner tuner;
+  Evaluator evaluator(&system, MockWorkload(), TuningBudget{20});
+  Rng rng(41);
+  Status status = tuner.Tune(&evaluator, &rng);
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+  ASSERT_EQ(evaluator.history().size(), 12u);
+  EXPECT_EQ(HistoryChecksum(evaluator.history()), 0x2c9831342f297ba4ULL);
+  EXPECT_EQ(rng.Uniform(), 0x1.14256f9f2c997p-1);
+}
+
 TEST(ThinkPoolTest, CheapTunersStartNoThinkThreads) {
   // The think pool is created where a GP fit starts and nowhere else: the
   // cheap tuners, serial or batched, leave the counter untouched.

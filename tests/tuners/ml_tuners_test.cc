@@ -68,6 +68,32 @@ TEST(OtterTuneTest, SerialSessionMatchesPinnedHistory) {
   EXPECT_EQ(HistoryChecksum(evaluator.history()), 0x1be829ab3db35117ULL);
 }
 
+TEST(OtterTuneTest, SerialFallbackAfterNanMatchesPinnedHistory) {
+  // The 6th observation, the first GP recommendation's, is NaN, so every
+  // later hyper search fails and the loop perturbs the incumbent at random,
+  // twice, before escalating — each time after the search already drew its
+  // acquisition candidates — and the escalation must leave the rng where
+  // that loop left it, since a supervisor hands it on to the fallback
+  // tuner. Pinned from the loop that generated candidates only after a
+  // successful fit.
+  auto history_dbms = MakeTestDbms(4, /*noise=*/true);
+  Workload target = MakeDbmsOlapWorkload(0.5);
+  OtterTuneRepository repo = BuildOtterTuneRepository(
+      history_dbms.get(),
+      DefaultHistoryWorkloads("simulated-dbms", target.kind), 10, 13);
+  auto dbms = MakeTestDbms(4, /*noise=*/true);
+  testing_util::NanAfterSystem system(dbms.get(), /*healthy_runs=*/5);
+  OtterTuneTuner tuner(std::move(repo), /*target_observations=*/4,
+                       /*top_knobs=*/6);
+  Evaluator evaluator(&system, target, TuningBudget{12});
+  Rng rng(31);
+  Status status = tuner.Tune(&evaluator, &rng);
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+  ASSERT_EQ(evaluator.history().size(), 8u);
+  EXPECT_EQ(HistoryChecksum(evaluator.history()), 0xc578c68bf0f8b488ULL);
+  EXPECT_EQ(rng.Uniform(), 0x1.372cf4e425305p-1);
+}
+
 TEST(OtterTuneTest, BuildsDefaultRepositoryWhenEmpty) {
   auto dbms = MakeTestDbms();
   OtterTuneTuner tuner;  // empty repository

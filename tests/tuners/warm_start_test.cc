@@ -37,7 +37,7 @@ constexpr uint64_t kSeed = 17;
 constexpr size_t kBudget = 10;
 
 std::string JournalPath(const std::string& name) {
-  return ::testing::TempDir() + "/warm_" + name + ".wal";
+  return testing_util::TestTempPath("warm_" + name + ".wal");
 }
 
 // One completed historic session to harvest knowledge records from.

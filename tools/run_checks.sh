@@ -81,12 +81,24 @@
 #                                   # under sanitizers.
 #   tools/run_checks.sh --think     # tsan preset, GP and iTuned/OtterTune
 #                                   # suites only: pooled-vs-serial GP bit-
-#                                   # identity, pinned serial sessions, the
-#                                   # think-pool thread count, and the fork
-#                                   # regression test — the code that puts
-#                                   # const GaussianProcess reads and its
-#                                   # thread_local buffers on the session's
-#                                   # worker threads (DESIGN.md §6)
+#                                   # identity, the hyper search's overlap
+#                                   # step, work-claiming PredictBatch, pinned
+#                                   # serial sessions (with and without the
+#                                   # fallback rng rewind), the think-pool
+#                                   # thread count, and the fork regression
+#                                   # test — the code that puts const
+#                                   # GaussianProcess reads, its thread_local
+#                                   # buffers and the shared chunk/candidate
+#                                   # counters on the session's worker threads
+#                                   # and the calling thread (DESIGN.md §6)
+#   tools/run_checks.sh --io-repeat # default build + every suite that touches
+#                                   # the filesystem (journal, resume,
+#                                   # knowledge repo, io_env, warm start,
+#                                   # adaptive re-tune, trace resume, commit
+#                                   # alloc, repository I/O) under ctest in
+#                                   # parallel, random order, 20 passes: a
+#                                   # temp path two tests share shows up as a
+#                                   # flake here
 #   tools/run_checks.sh --coverage  # instrumented Debug build + full ctest +
 #                                   # per-directory line-coverage summary for
 #                                   # src/. Uses gcovr if installed, else
@@ -439,12 +451,37 @@ if [ "${1:-}" = "--think" ]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" \
       --target atune_ml_tests atune_tuners_tests
+  # The calling thread claims hyper-search candidates and PredictBatch
+  # chunks from the same atomic counters as the workers:
+  # GaussianProcessPoolTest.OverlapStepRunsOnceOnCallerAfterHyperDraws and
+  # GpBatch.PooledPredictBatchBitIdenticalToNoPool drive both, and the
+  # *SerialFallbackAfterNan* sessions the rng rewind after a failed search.
   ./build-tsan/tests/atune_ml_tests --gtest_brief=1 \
       --gtest_filter='GpBatch*:GaussianProcess*:GpTest*'
   ./build-tsan/tests/atune_tuners_tests --gtest_brief=1 \
       --gtest_filter='ITuned*:OtterTune*:ThinkPool*'
   echo "think checks passed: pooled GP paths and pooled serial sessions"
   echo "clean under tsan, forked child reruns its session"
+  exit 0
+fi
+
+if [ "${1:-}" = "--io-repeat" ]; then
+  jobs="$(nproc 2>/dev/null || echo 2)"
+  echo "=== [io-repeat] configure + build (default preset) ==="
+  cmake -B build -S .
+  cmake --build build -j "$jobs"
+  echo "=== [io-repeat] I/O suites, parallel, shuffled, 20 passes ==="
+  # Every one of these tests writes under a path private to its suite, name
+  # and pid (testing_util::TestTempPath). Running them as concurrent ctest
+  # processes in random order, each up to 20 times, fails on the first
+  # pass where two of them still meet on one file.
+  io_suites='^(JournalTest|JournalFaultTest|JournalMmap|ResumeTest'
+  io_suites+='|KnowledgeRepoTest|IoEnvTest|WarmStartTest|AdaptiveRetuneTest'
+  io_suites+='|TraceResumeTest|CommitAlloc|RepositoryIoTest)\.'
+  ctest --test-dir build -j "$jobs" --schedule-random \
+      --repeat until-fail:20 --output-on-failure -R "$io_suites"
+  echo "io-repeat checks passed: no shared temp path across 20 shuffled"
+  echo "parallel passes of the I/O suites"
   exit 0
 fi
 
