@@ -8,7 +8,13 @@
 //     point: the published artifact is either absent or bit-complete (never
 //     torn), journal recovery succeeds, and the resumed session reaches the
 //     uninterrupted baseline's OutcomeChecksum with a byte-identical final
-//     journal.
+//     journal. A second resume starts from what a power loss at the same op
+//     would leave — only the journal bytes fsynced before it, or no journal
+//     at all before its directory entry was fsynced — and must reach the
+//     same checksum and journal. The sweep runs twice: serial iTuned, and
+//     iTuned at parallelism 4, whose rounds are multi-lane EvaluateBatch
+//     waves committed by one fsync each, so crash points also fall between
+//     a round's writes and its commit.
 //   * fault-schedule matrix: sessions run under FaultInjectingIoEnv with
 //     transient storms (EINTR/short-write/EIO — must be absorbed by bounded
 //     retries) and hard faults (ENOSPC, persistent EIO, fsync failure —
@@ -58,6 +64,8 @@ namespace {
 const size_t kBudget = SmokeSize(12, 6);
 constexpr uint64_t kSeed = 7;
 constexpr char kTuner[] = "ituned";
+/// Lanes per round of the batched sweep.
+constexpr size_t kBatchedParallelism = 4;
 
 /// Deterministic multi-KB artifact payload: big enough that a mid-publish
 /// crash would visibly tear it if the publish were not atomic.
@@ -80,7 +88,7 @@ struct RunResult {
 
 /// One tuning session. `journal` empty = un-journaled.
 RunResult RunSession(const std::string& journal, JournalPolicy policy,
-                     bool resume) {
+                     bool resume, size_t parallelism) {
   RunResult out;
   TunerRegistry registry;
   RegisterBuiltinTuners(&registry);
@@ -89,6 +97,7 @@ RunResult RunSession(const std::string& journal, JournalPolicy policy,
     out.status = tuner.status();
     return out;
   }
+  (*tuner)->set_parallelism(parallelism);
   auto dbms = MakeDbms(kSeed + 1);
   SessionOptions options;
   options.budget = TuningBudget{kBudget};
@@ -115,9 +124,10 @@ RunResult RunSession(const std::string& journal, JournalPolicy policy,
 /// artifact atomically, then run a full journaled session. Everything here
 /// goes through IoEnv::Current(), so every mutating op is a crash point.
 void DoCrashWork(const std::string& artifact, const std::string& journal,
-                 const std::string& payload) {
+                 const std::string& payload, size_t parallelism) {
   (void)AtomicWriteFile(artifact, payload);
-  (void)RunSession(journal, JournalPolicy::kStrict, /*resume=*/false);
+  (void)RunSession(journal, JournalPolicy::kStrict, /*resume=*/false,
+                   parallelism);
 }
 
 std::string SlurpOrEmpty(const std::string& path) {
@@ -126,6 +136,122 @@ std::string SlurpOrEmpty(const std::string& path) {
   return contents;
 }
 
+/// What of the journal is durable once a given op of the reference workload
+/// has completed. Op indices are 1-based within the workload, as the crash
+/// hook counts them: a crash armed at op N completes ops 1..N-1.
+struct DurableJournal {
+  uint64_t dir_synced_op = 0;  ///< the directory fsync after Create; 0: none
+  /// (op, journal size) after every successful fsync of the journal file.
+  std::vector<std::pair<uint64_t, uint64_t>> syncs;
+
+  /// The journal a power loss just before op `op` leaves: absent (false)
+  /// until its directory entry is durable, then its last fsynced prefix.
+  bool At(uint64_t op, uint64_t* size) const {
+    if (dir_synced_op == 0 || dir_synced_op >= op) return false;
+    *size = 0;
+    for (const auto& [synced_op, synced_size] : syncs) {
+      if (synced_op < op) *size = synced_size;
+    }
+    return true;
+  }
+};
+
+/// IoEnv decorator for the uninterrupted baseline run: forwards everything
+/// to the real env and records, into a DurableJournal, which journal bytes
+/// each completed fsync made durable.
+class DurabilityRecordingEnv : public IoEnv {
+ public:
+  DurabilityRecordingEnv(std::string journal, uint64_t ops_before,
+                         DurableJournal* out)
+      : base_(IoEnv::Default()),
+        journal_(std::move(journal)),
+        ops_before_(ops_before),
+        out_(out) {}
+
+  Result<std::unique_ptr<IoFile>> OpenWritable(const std::string& path,
+                                               OpenMode mode) override {
+    auto file = base_->OpenWritable(path, mode);
+    if (!file.ok() || path != journal_) return file;
+    return std::unique_ptr<IoFile>(new File(this, std::move(*file)));
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  Status Truncate(const std::string& path, uint64_t length) override {
+    return base_->Truncate(path, length);
+  }
+  Status SyncDir(const std::string& path) override {
+    Status status = base_->SyncDir(path);
+    if (status.ok() && path == journal_ && out_->dir_synced_op == 0) {
+      out_->dir_synced_op = Op();
+    }
+    return status;
+  }
+  Status Unlink(const std::string& path) override {
+    return base_->Unlink(path);
+  }
+  Status ReadFileToString(const std::string& path, std::string* out) override {
+    return base_->ReadFileToString(path, out);
+  }
+  Result<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+  Result<MappedFile> Map(const std::string& path) override {
+    return base_->Map(path);
+  }
+  void Backoff(size_t attempt) override { base_->Backoff(attempt); }
+
+ private:
+  class File : public IoFile {
+   public:
+    File(DurabilityRecordingEnv* env, std::unique_ptr<IoFile> base)
+        : env_(env), base_(std::move(base)) {}
+    Status Write(const void* data, size_t n, size_t* written,
+                 bool* transient) override {
+      return base_->Write(data, n, written, transient);
+    }
+    Status Sync() override {
+      Status status = base_->Sync();
+      if (status.ok()) {
+        auto size = env_->base_->FileSize(env_->journal_);
+        if (size.ok()) env_->out_->syncs.emplace_back(env_->Op(), *size);
+      }
+      return status;
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    DurabilityRecordingEnv* env_;
+    std::unique_ptr<IoFile> base_;
+  };
+
+  uint64_t Op() const { return IoOpCount() - ops_before_; }
+
+  IoEnv* base_;
+  std::string journal_;
+  uint64_t ops_before_;
+  DurableJournal* out_;
+};
+
+/// Replaces `path` with `contents`, outside the IoEnv seam: the harness
+/// stages a power-loss state, it is not part of the system under test.
+bool WriteRaw(const std::string& path, const std::string& contents) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  bool ok = std::fwrite(contents.data(), 1, contents.size(), f) ==
+            contents.size();
+  return std::fclose(f) == 0 && ok;
+}
+
+/// The uninterrupted run a sweep compares every crash point against.
+struct Baseline {
+  size_t parallelism = 1;
+  uint64_t total_ops = 0;  ///< mutating I/O ops of the workload: the domain
+  RunResult run;
+  std::string journal;     ///< final journal bytes
+  DurableJournal durable;
+};
+
 struct CrashPoint {
   uint64_t op = 0;
   bool crashed = false;          // child died at the armed op, exit 42
@@ -133,17 +259,24 @@ struct CrashPoint {
   bool recovered = false;        // resume reached a final outcome
   bool checksum_match = false;   // ... identical to the uninterrupted run
   bool journal_identical = false;  // final journal bytes == baseline's
+  bool power_loss_match = false;   // same two, resumed from the fsynced state
+
+  bool pass() const {
+    return crashed && artifact_intact && recovered && checksum_match &&
+           journal_identical && power_loss_match;
+  }
 };
 
 CrashPoint RunCrashPoint(uint64_t op, const std::string& payload,
-                         uint64_t baseline_checksum,
-                         const std::string& baseline_journal) {
+                         const Baseline& baseline) {
   CrashPoint cp;
   cp.op = op;
-  const std::string artifact = StrFormat("bench_crash_artifact_%llu.dat",
-                                         static_cast<unsigned long long>(op));
-  const std::string journal = StrFormat("bench_crash_journal_%llu.wal",
-                                        static_cast<unsigned long long>(op));
+  const std::string artifact =
+      StrFormat("bench_crash_artifact_p%zu_%llu.dat", baseline.parallelism,
+                static_cast<unsigned long long>(op));
+  const std::string journal =
+      StrFormat("bench_crash_journal_p%zu_%llu.wal", baseline.parallelism,
+                static_cast<unsigned long long>(op));
   std::remove(artifact.c_str());
   std::remove((artifact + ".tmp").c_str());
   std::remove(journal.c_str());
@@ -163,7 +296,7 @@ CrashPoint RunCrashPoint(uint64_t op, const std::string& payload,
       ::close(devnull);
     }
     SetCrashAtIoOp(op);
-    DoCrashWork(artifact, journal, payload);
+    DoCrashWork(artifact, journal, payload, baseline.parallelism);
     ::_exit(0);
   }
   int wstatus = 0;
@@ -179,11 +312,29 @@ CrashPoint RunCrashPoint(uint64_t op, const std::string& payload,
   // Longest-valid-prefix recovery + deterministic replay must reproduce the
   // uninterrupted session exactly, whatever state the crash left behind
   // (no journal, a torn header, a half-written frame...).
+  const std::string crashed_journal = SlurpOrEmpty(journal);
   RunResult resumed = RunSession(journal, JournalPolicy::kStrict,
-                                 /*resume=*/true);
+                                 /*resume=*/true, baseline.parallelism);
   cp.recovered = resumed.ok;
-  cp.checksum_match = resumed.ok && resumed.checksum == baseline_checksum;
-  cp.journal_identical = SlurpOrEmpty(journal) == baseline_journal;
+  cp.checksum_match = resumed.ok && resumed.checksum == baseline.run.checksum;
+  cp.journal_identical = SlurpOrEmpty(journal) == baseline.journal;
+
+  // Power loss at the same op: the page cache is gone, so the journal holds
+  // only what was fsynced before the op (an uncommitted round vanishes).
+  std::remove(journal.c_str());
+  uint64_t durable_size = 0;
+  bool staged = true;
+  if (baseline.durable.At(op, &durable_size)) {
+    staged = durable_size <= crashed_journal.size() &&
+             WriteRaw(journal, crashed_journal.substr(0, durable_size));
+  }
+  RunResult after_power_loss =
+      staged ? RunSession(journal, JournalPolicy::kStrict, /*resume=*/true,
+                          baseline.parallelism)
+             : RunResult{};
+  cp.power_loss_match = after_power_loss.ok &&
+                        after_power_loss.checksum == baseline.run.checksum &&
+                        SlurpOrEmpty(journal) == baseline.journal;
 
   std::remove(artifact.c_str());
   std::remove((artifact + ".tmp").c_str());
@@ -208,7 +359,8 @@ struct FaultRow {
 FaultRow RunFaultSchedule(const std::string& name,
                           const IoFaultSchedule& schedule,
                           bool expect_strict_error,
-                          uint64_t unjournaled_checksum) {
+                          uint64_t unjournaled_checksum,
+                          size_t parallelism = 1) {
   FaultRow row;
   row.name = name;
   row.expect_strict_error = expect_strict_error;
@@ -223,7 +375,8 @@ FaultRow RunFaultSchedule(const std::string& name,
   {
     FaultInjectingIoEnv env(IoEnv::Default(), schedule);
     ScopedIoEnv install(&env);
-    strict = RunSession(path, JournalPolicy::kStrict, /*resume=*/false);
+    strict = RunSession(path, JournalPolicy::kStrict, /*resume=*/false,
+                        parallelism);
   }
   row.strict_status = StatusCodeToString(strict.status.code());
   row.fatal = !is_clean(strict.status);
@@ -238,7 +391,8 @@ FaultRow RunFaultSchedule(const std::string& name,
   {
     FaultInjectingIoEnv env(IoEnv::Default(), schedule);
     ScopedIoEnv install(&env);
-    degrade = RunSession(path, JournalPolicy::kDegrade, /*resume=*/false);
+    degrade = RunSession(path, JournalPolicy::kDegrade, /*resume=*/false,
+                         parallelism);
   }
   row.fatal = row.fatal || !is_clean(degrade.status);
   // Degrade trades resumability for availability: the session must finish
@@ -248,7 +402,7 @@ FaultRow RunFaultSchedule(const std::string& name,
       degrade.ok && degrade.checksum == unjournaled_checksum;
   if (degrade.ok && degrade.degraded) {
     RunResult resumed = RunSession(path, JournalPolicy::kStrict,
-                                   /*resume=*/true);
+                                   /*resume=*/true, parallelism);
     row.resume_refused =
         resumed.status.code() == StatusCode::kFailedPrecondition;
   } else {
@@ -260,6 +414,119 @@ FaultRow RunFaultSchedule(const std::string& name,
   row.pass = !row.fatal && row.strict_as_expected && row.degrade_ok &&
              row.degrade_checksum_match && row.resume_refused;
   return row;
+}
+
+// ----- sweep driver ----------------------------------------------------------
+
+/// Runs the reference workload uninterrupted (recording what each fsync made
+/// durable), then replays it once per crash point. Returns false when no
+/// baseline could be established.
+bool RunSweep(size_t parallelism, const std::string& payload,
+              Baseline* baseline, std::vector<CrashPoint>* sweep) {
+  baseline->parallelism = parallelism;
+  const std::string artifact =
+      StrFormat("bench_crash_artifact_p%zu_base.dat", parallelism);
+  const std::string journal =
+      StrFormat("bench_crash_journal_p%zu_base.wal", parallelism);
+  std::remove(artifact.c_str());
+  std::remove(journal.c_str());
+  const uint64_t ops_before = IoOpCount();
+  {
+    DurabilityRecordingEnv recording(journal, ops_before, &baseline->durable);
+    ScopedIoEnv install(&recording);
+    DoCrashWork(artifact, journal, payload, parallelism);
+  }
+  baseline->total_ops = IoOpCount() - ops_before;
+  baseline->run = RunSession(journal, JournalPolicy::kStrict,
+                             /*resume=*/true, parallelism);  // pure replay
+  baseline->journal = SlurpOrEmpty(journal);
+  std::remove(artifact.c_str());
+  std::remove(journal.c_str());
+  if (!baseline->run.ok || baseline->total_ops == 0 ||
+      baseline->journal.empty()) {
+    std::printf("FAIL: could not establish the parallelism-%zu baseline "
+                "(%s)\n",
+                parallelism, baseline->run.status.message().c_str());
+    return false;
+  }
+
+  // The commit rule itself: every fsync of the journal completes a round —
+  // the prefix it made durable recovers whole, with no torn frame and no
+  // lane of an unfinished batch to drop — and the last one covers the
+  // whole journal, so no measurement outran it.
+  const std::string probe = StrFormat("bench_crash_probe_p%zu.wal", parallelism);
+  bool whole_rounds = !baseline->durable.syncs.empty() &&
+                      baseline->durable.syncs.back().second ==
+                          baseline->journal.size();
+  for (const auto& [op, size] : baseline->durable.syncs) {
+    if (!WriteRaw(probe, baseline->journal.substr(0, size))) {
+      whole_rounds = false;
+      continue;
+    }
+    auto recovered = TrialJournal::OpenForResume(probe);
+    whole_rounds = whole_rounds && recovered.ok() &&
+                   recovered->header_valid && recovered->warnings.empty();
+  }
+  std::remove(probe.c_str());
+
+  // Crash points: every op in a full run; >=8 evenly spaced ops in smoke.
+  std::set<uint64_t> points;
+  if (SmokeMode()) {
+    const size_t want = 8;
+    for (size_t i = 1; i <= want; ++i) {
+      points.insert(std::max<uint64_t>(1, i * baseline->total_ops / want));
+    }
+  } else {
+    for (uint64_t op = 1; op <= baseline->total_ops; ++op) points.insert(op);
+  }
+  std::printf("\ncrash-point sweep, parallelism %zu (%zu points over %llu "
+              "mutating ops, %zu fsyncs of the journal, budget %zu):\n",
+              parallelism, points.size(),
+              static_cast<unsigned long long>(baseline->total_ops),
+              baseline->durable.syncs.size(), kBudget);
+  size_t crashed = 0;
+  bool pass = true;
+  for (uint64_t op : points) {
+    CrashPoint cp = RunCrashPoint(op, payload, *baseline);
+    if (!cp.pass()) {
+      std::printf("  op %4llu: crash=%d artifact=%d recovered=%d "
+                  "checksum=%d journal=%d power_loss=%d  <-- FAIL\n",
+                  static_cast<unsigned long long>(cp.op), cp.crashed,
+                  cp.artifact_intact, cp.recovered, cp.checksum_match,
+                  cp.journal_identical, cp.power_loss_match);
+    }
+    pass = pass && cp.pass();
+    crashed += cp.crashed ? 1 : 0;
+    sweep->push_back(cp);
+  }
+  std::printf("  every journal fsync commits whole rounds: %s\n",
+              whole_rounds ? "PASS" : "FAIL");
+  pass = pass && whole_rounds;
+  std::printf("  %zu/%zu points crashed at the armed op; sweep %s\n", crashed,
+              sweep->size(), pass ? "PASS" : "FAIL");
+  return pass;
+}
+
+std::string SweepJson(const std::vector<CrashPoint>& sweep,
+                      const std::string& indent) {
+  std::ostringstream json;
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    const CrashPoint& cp = sweep[i];
+    json << indent
+         << StrFormat(
+                "{\"op\": %llu, \"crashed\": %s, \"artifact_intact\": %s, "
+                "\"recovered\": %s, \"checksum_match\": %s, "
+                "\"journal_identical\": %s, \"power_loss_match\": %s}%s\n",
+                static_cast<unsigned long long>(cp.op),
+                cp.crashed ? "true" : "false",
+                cp.artifact_intact ? "true" : "false",
+                cp.recovered ? "true" : "false",
+                cp.checksum_match ? "true" : "false",
+                cp.journal_identical ? "true" : "false",
+                cp.power_loss_match ? "true" : "false",
+                i + 1 < sweep.size() ? "," : "");
+  }
+  return json.str();
 }
 
 // ----- seam overhead ---------------------------------------------------------
@@ -365,66 +632,23 @@ int main() {
 
   const std::string payload = ArtifactPayload();
 
-  // Uninterrupted baseline: checksum, final journal bytes, and the number of
-  // mutating I/O ops the whole workload performs (= the sweep domain).
-  const std::string base_artifact = "bench_crash_artifact_base.dat";
-  const std::string base_journal = "bench_crash_journal_base.wal";
-  std::remove(base_artifact.c_str());
-  std::remove(base_journal.c_str());
-  const uint64_t ops_before = IoOpCount();
-  DoCrashWork(base_artifact, base_journal, payload);
-  const uint64_t total_ops = IoOpCount() - ops_before;
-  RunResult baseline = RunSession(base_journal, JournalPolicy::kStrict,
-                                  /*resume=*/true);  // intact: pure replay
-  const std::string baseline_journal = SlurpOrEmpty(base_journal);
-  std::remove(base_artifact.c_str());
-  std::remove(base_journal.c_str());
-  if (!baseline.ok || total_ops == 0 || baseline_journal.empty()) {
-    std::printf("FAIL: could not establish uninterrupted baseline (%s)\n",
-                baseline.status.message().c_str());
-    return 1;
-  }
-
-  // Crash points: every op in a full run; >=8 evenly spaced ops in smoke.
-  std::set<uint64_t> points;
-  if (SmokeMode()) {
-    const size_t want = 8;
-    for (size_t i = 1; i <= want; ++i) {
-      points.insert(std::max<uint64_t>(1, i * total_ops / want));
-    }
-  } else {
-    for (uint64_t op = 1; op <= total_ops; ++op) points.insert(op);
-  }
-
-  std::printf("\ncrash-point sweep (%zu points over %llu mutating ops, "
-              "budget %zu):\n",
-              points.size(), static_cast<unsigned long long>(total_ops),
-              kBudget);
+  // Serial iTuned, then iTuned at parallelism 4: one journal record per
+  // round in the first, one fsync per multi-lane round in the second.
+  Baseline baseline;
   std::vector<CrashPoint> sweep;
-  bool sweep_pass = true;
-  size_t crashed = 0;
-  for (uint64_t op : points) {
-    CrashPoint cp = RunCrashPoint(op, payload, baseline.checksum,
-                                  baseline_journal);
-    bool pass = cp.crashed && cp.artifact_intact && cp.recovered &&
-                cp.checksum_match && cp.journal_identical;
-    if (!pass) {
-      std::printf("  op %4llu: crash=%d artifact=%d recovered=%d "
-                  "checksum=%d journal=%d  <-- FAIL\n",
-                  static_cast<unsigned long long>(cp.op), cp.crashed,
-                  cp.artifact_intact, cp.recovered, cp.checksum_match,
-                  cp.journal_identical);
-    }
-    sweep_pass = sweep_pass && pass;
-    crashed += cp.crashed ? 1 : 0;
-    sweep.push_back(cp);
-  }
-  std::printf("  %zu/%zu points crashed at the armed op; sweep %s\n", crashed,
-              sweep.size(), sweep_pass ? "PASS" : "FAIL");
+  bool sweep_pass = RunSweep(1, payload, &baseline, &sweep);
+  Baseline batched;
+  std::vector<CrashPoint> batched_sweep;
+  bool batched_pass =
+      RunSweep(kBatchedParallelism, payload, &batched, &batched_sweep);
+  if (!baseline.run.ok || !batched.run.ok) return 1;
 
   // Fault-schedule matrix.
   RunResult unjournaled = RunSession("", JournalPolicy::kStrict,
-                                     /*resume=*/false);
+                                     /*resume=*/false, /*parallelism=*/1);
+  RunResult unjournaled_batched =
+      RunSession("", JournalPolicy::kStrict, /*resume=*/false,
+                 kBatchedParallelism);
   std::vector<FaultRow> faults;
   {
     IoFaultSchedule storm;
@@ -448,13 +672,23 @@ int main() {
         "fsync_failure",
         IoFaultSchedule::Single(IoOpKind::kSync, 3, IoFaultKind::kSyncFail),
         /*expect_strict_error=*/true, unjournaled.checksum));
+    // The batched session's last fsync commits a multi-lane round: failing
+    // it must drop that whole round (strict) or detach the journal with
+    // the un-journaled outcome (degrade).
+    const uint64_t last_commit = batched.durable.syncs.size() - 1;
+    faults.push_back(RunFaultSchedule(
+        "fsync_failure_batched",
+        IoFaultSchedule::Single(IoOpKind::kSync, last_commit,
+                                IoFaultKind::kSyncFail),
+        /*expect_strict_error=*/true, unjournaled_batched.checksum,
+        kBatchedParallelism));
   }
-  bool faults_pass = unjournaled.ok;
+  bool faults_pass = unjournaled.ok && unjournaled_batched.ok;
   std::printf("\nfault-schedule matrix (strict + degrade per schedule):\n");
-  std::printf("  %-20s %-22s %s\n", "schedule", "strict", "degrade");
+  std::printf("  %-22s %-22s %s\n", "schedule", "strict", "degrade");
   for (const FaultRow& row : faults) {
     faults_pass = faults_pass && row.pass;
-    std::printf("  %-20s %-22s %s%s\n", row.name.c_str(),
+    std::printf("  %-22s %-22s %s%s\n", row.name.c_str(),
                 row.strict_status.c_str(),
                 row.degrade_ok && row.degrade_checksum_match
                     ? "identical outcome"
@@ -479,7 +713,7 @@ int main() {
   const size_t iters = 50000;
   const size_t reps = 5;
   const size_t frame_bytes = std::max<size_t>(
-      512, baseline_journal.size() / std::max<size_t>(1, baseline.trials));
+      512, baseline.journal.size() / std::max<size_t>(1, baseline.run.trials));
   const std::string buf(frame_bytes, 'j');
   double warm_s = 0.0, warm_r = 0.0;
   (void)RunOverheadRep(buf, iters, &warm_s, &warm_r, nullptr);  // warmup
@@ -535,30 +769,28 @@ int main() {
               optimized ? "" : ", advisory: unoptimized build",
               overhead_pass ? "PASS" : "FAIL");
 
-  bool pass = sweep_pass && faults_pass && overhead_pass;
-  std::printf("\nacceptance: sweep %s, fault matrix %s, overhead %s\n",
-              sweep_pass ? "PASS" : "FAIL", faults_pass ? "PASS" : "FAIL",
-              overhead_pass ? "PASS" : "FAIL");
+  bool pass = sweep_pass && batched_pass && faults_pass && overhead_pass;
+  std::printf("\nacceptance: sweep %s, batched sweep %s, fault matrix %s, "
+              "overhead %s\n",
+              sweep_pass ? "PASS" : "FAIL", batched_pass ? "PASS" : "FAIL",
+              faults_pass ? "PASS" : "FAIL", overhead_pass ? "PASS" : "FAIL");
 
   std::ostringstream json;
   json << "{\n  \"experiment\": \"bench_crashsafety\",\n";
   json << StrFormat("  \"budget\": %zu,\n  \"total_ops\": %llu,\n", kBudget,
-                    static_cast<unsigned long long>(total_ops));
+                    static_cast<unsigned long long>(baseline.total_ops));
   json << StrFormat("  \"baseline_checksum\": \"%016llx\",\n  \"sweep\": [\n",
-                    static_cast<unsigned long long>(baseline.checksum));
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const CrashPoint& cp = sweep[i];
-    json << StrFormat(
-        "    {\"op\": %llu, \"crashed\": %s, \"artifact_intact\": %s, "
-        "\"recovered\": %s, \"checksum_match\": %s, \"journal_identical\": "
-        "%s}%s\n",
-        static_cast<unsigned long long>(cp.op), cp.crashed ? "true" : "false",
-        cp.artifact_intact ? "true" : "false", cp.recovered ? "true" : "false",
-        cp.checksum_match ? "true" : "false",
-        cp.journal_identical ? "true" : "false",
-        i + 1 < sweep.size() ? "," : "");
-  }
-  json << "  ],\n  \"faults\": [\n";
+                    static_cast<unsigned long long>(baseline.run.checksum));
+  json << SweepJson(sweep, "    ");
+  json << StrFormat(
+      "  ],\n  \"batched\": {\"parallelism\": %zu, \"total_ops\": %llu, "
+      "\"journal_fsyncs\": %zu, \"baseline_checksum\": \"%016llx\", "
+      "\"sweep\": [\n",
+      kBatchedParallelism, static_cast<unsigned long long>(batched.total_ops),
+      batched.durable.syncs.size(),
+      static_cast<unsigned long long>(batched.run.checksum));
+  json << SweepJson(batched_sweep, "    ");
+  json << "  ]},\n  \"faults\": [\n";  json << "  ],\n  \"faults\": [\n";
   for (size_t i = 0; i < faults.size(); ++i) {
     const FaultRow& row = faults[i];
     json << StrFormat(
@@ -576,20 +808,27 @@ int main() {
       "\"ratio\": %.4f, \"optimized_build\": %s},\n",
       seam_s, raw_s, overhead, optimized ? "true" : "false");
   json << StrFormat(
-      "  \"pass\": {\"sweep\": %s, \"faults\": %s, \"overhead\": %s}\n}\n",
-      sweep_pass ? "true" : "false", faults_pass ? "true" : "false",
-      overhead_pass ? "true" : "false");
+      "  \"pass\": {\"sweep\": %s, \"batched_sweep\": %s, \"faults\": %s, "
+      "\"overhead\": %s}\n}\n",
+      sweep_pass ? "true" : "false", batched_pass ? "true" : "false",
+      faults_pass ? "true" : "false", overhead_pass ? "true" : "false");
   if (AtomicWriteFile("BENCH_crashsafety.json", json.str()).ok()) {
     std::printf("wrote BENCH_crashsafety.json\n");
   }
 
-  TableWriter csv({"op", "crashed", "artifact_intact", "recovered",
-                   "checksum_match", "journal_identical"});
-  for (const CrashPoint& cp : sweep) {
-    csv.AddRow({StrFormat("%llu", static_cast<unsigned long long>(cp.op)),
-                cp.crashed ? "1" : "0", cp.artifact_intact ? "1" : "0",
-                cp.recovered ? "1" : "0", cp.checksum_match ? "1" : "0",
-                cp.journal_identical ? "1" : "0"});
+  TableWriter csv({"parallelism", "op", "crashed", "artifact_intact",
+                   "recovered", "checksum_match", "journal_identical",
+                   "power_loss_match"});
+  for (const auto* points : {&sweep, &batched_sweep}) {
+    const size_t parallelism = points == &sweep ? 1 : kBatchedParallelism;
+    for (const CrashPoint& cp : *points) {
+      csv.AddRow({StrFormat("%zu", parallelism),
+                  StrFormat("%llu", static_cast<unsigned long long>(cp.op)),
+                  cp.crashed ? "1" : "0", cp.artifact_intact ? "1" : "0",
+                  cp.recovered ? "1" : "0", cp.checksum_match ? "1" : "0",
+                  cp.journal_identical ? "1" : "0",
+                  cp.power_loss_match ? "1" : "0"});
+    }
   }
   if (csv.WriteCsvFile("BENCH_crashsafety.csv").ok()) {
     std::printf("wrote BENCH_crashsafety.csv\n");

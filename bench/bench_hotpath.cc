@@ -234,7 +234,6 @@ AllocCheck CheckCommitAllocs() {
   std::string path = "BENCH_hotpath_alloc.waljournal.tmp";
   auto journal = TrialJournal::Create(path, header);
   if (!journal.ok()) return out;
-  (*journal)->set_sync(false);
   evaluator.set_journal(journal->get());
   Configuration config = dbms->space().DefaultConfiguration();
   // Warmup commits grow history slack and the journal frame buffer to their
@@ -288,7 +287,6 @@ ReplayCheck CheckReplay() {
     header.max_evaluations = n_records;
     auto journal = TrialJournal::Create(path, header);
     if (!journal.ok()) return out;
-    (*journal)->set_sync(false);
     for (size_t i = 0; i < n_records; ++i) {
       JournalRecord rec;
       rec.seq = i;

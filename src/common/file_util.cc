@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -68,14 +69,23 @@ Status ReadFileToString(const std::string& path, std::string* out) {
   return Status::OK();
 }
 
-Status AtomicWriteFile(const std::string& path, const std::string& contents) {
+Status AtomicWriteFile(const std::string& path, const std::string& contents,
+                       double* sync_seconds) {
   IoEnv* env = IoEnv::Current();
   const std::string tmp = path + ".tmp";
   auto file = env->OpenWritable(tmp, IoEnv::OpenMode::kTruncate);
   if (!file.ok()) return file.status();
   Status status =
       WriteFully(env, file->get(), contents.data(), contents.size());
-  if (status.ok()) status = (*file)->Sync();
+  if (status.ok()) {
+    auto begin = std::chrono::steady_clock::now();
+    status = (*file)->Sync();
+    if (sync_seconds != nullptr) {
+      *sync_seconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - begin)
+                          .count();
+    }
+  }
   if (status.ok()) status = (*file)->Close();
   if (!status.ok()) {
     (void)(*file)->Close();

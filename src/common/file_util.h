@@ -21,8 +21,11 @@ Status ReadFileToString(const std::string& path, std::string* out);
 /// flushes and fsyncs it, then atomically renames it over `path`. A reader
 /// (or a restart after a crash) therefore sees either the old file or the
 /// complete new one — never a torn mixture. This is how every BENCH_*.json
-/// and CSV artifact is published.
-Status AtomicWriteFile(const std::string& path, const std::string& contents);
+/// and CSV artifact is published. `sync_seconds` (optional) receives the
+/// host wall-clock the file's fsync took, for callers that can reach a
+/// metrics registry (common cannot link obs).
+Status AtomicWriteFile(const std::string& path, const std::string& contents,
+                       double* sync_seconds = nullptr);
 
 /// Truncates `path` to `length` bytes and fsyncs it. Used by journal
 /// recovery to physically discard a corrupt tail.

@@ -499,12 +499,13 @@ Result<TrialJournal::Recovered> TrialJournal::OpenForResume(
       offset = frame_start;
       break;
     }
+    record.frame_bytes = offset - frame_start;
     recovered.records.push_back(std::move(record));
     record_ends.push_back(offset);
   }
 
-  // Drop a trailing incomplete batch: its lanes were committed one by one,
-  // so a crash mid-batch leaves a prefix of the wave. Replay hands a
+  // Drop a trailing incomplete batch: a crash mid-round can leave a prefix
+  // of the wave's frames (written, never committed). Replay hands a
   // batch-aware tuner whole waves only; the dropped lanes re-execute.
   size_t dropped_lanes = 0;
   while (!recovered.records.empty()) {
@@ -580,25 +581,40 @@ Status TrialJournal::AppendRef(const JournalRecordRef& record) {
                              frame_buf_.size(), &retries, &shorts);
   write_retries_ += retries;
   short_writes_ += shorts;
-  if (status.ok() && sync_) status = file_->Sync();
-  if (!status.ok()) {
-    // The write failed partway, or the fsync failed — either way the bytes
-    // past append_offset_ are in an unknown state (fsyncgate: a failed
-    // fsync may have dropped the dirty pages, and retrying it would just
-    // report success on whatever survived). Restore the invariant that the
-    // on-disk journal is exactly the longest valid prefix.
-    Status reverify = ReverifyTail();
-    if (!reverify.ok()) {
-      return Status::IoError(StrFormat(
-          "%s; tail re-verify also failed: %s", status.message().c_str(),
-          reverify.message().c_str()));
-    }
-    return status;
-  }
-  last_frame_start_ = append_offset_;
-  append_offset_ += frame_buf_.size();
+  if (!status.ok()) return FailUncommitted(std::move(status));
+  last_frame_start_ = end_offset_;
+  end_offset_ += frame_buf_.size();
   next_seq_ = record.seq + 1;
   return Status::OK();
+}
+
+Status TrialJournal::Commit() {
+  if (file_ == nullptr) {
+    return Status::FailedPrecondition("journal is not open for appending");
+  }
+  if (end_offset_ == durable_offset_) return Status::OK();
+  Status status = file_->Sync();
+  if (!status.ok()) return FailUncommitted(std::move(status));
+  durable_offset_ = end_offset_;
+  durable_last_frame_start_ = last_frame_start_;
+  durable_seq_ = next_seq_;
+  return Status::OK();
+}
+
+Status TrialJournal::FailUncommitted(Status status) {
+  // The write failed partway, or the fsync failed — either way the bytes
+  // past durable_offset_ are in an unknown state (fsyncgate: a failed fsync
+  // may have dropped the dirty pages, and retrying it would just report
+  // success on whatever survived). Restore the invariant that the on-disk
+  // journal is exactly the committed prefix; the whole uncommitted round
+  // goes, as it would in a crash.
+  Status reverify = ReverifyTail();
+  if (!reverify.ok()) {
+    return Status::IoError(StrFormat("%s; tail re-verify also failed: %s",
+                                     status.message().c_str(),
+                                     reverify.message().c_str()));
+  }
+  return status;
 }
 
 Status TrialJournal::ReverifyTail() {
@@ -609,7 +625,10 @@ Status TrialJournal::ReverifyTail() {
   // Physically discard the unverified bytes, then prove the kept tail is
   // intact by reading its final frame back and re-checking the CRC. Only
   // after both succeed is the journal re-opened for appending.
-  ATUNE_RETURN_IF_ERROR(env_->Truncate(path_, append_offset_));
+  end_offset_ = durable_offset_;
+  last_frame_start_ = durable_last_frame_start_;
+  next_seq_ = durable_seq_;
+  ATUNE_RETURN_IF_ERROR(env_->Truncate(path_, durable_offset_));
   {
     auto sync_handle = env_->OpenWritable(path_, IoEnv::OpenMode::kAppend);
     if (!sync_handle.ok()) return sync_handle.status();
@@ -619,18 +638,18 @@ Status TrialJournal::ReverifyTail() {
   }
   std::string contents;
   ATUNE_RETURN_IF_ERROR(env_->ReadFileToString(path_, &contents));
-  if (contents.size() != append_offset_) {
+  if (contents.size() != durable_offset_) {
     return Status::IoError(StrFormat(
         "journal '%s': %zu bytes on disk after truncation to %llu",
         path_.c_str(), contents.size(),
-        static_cast<unsigned long long>(append_offset_)));
+        static_cast<unsigned long long>(durable_offset_)));
   }
-  size_t offset = last_frame_start_;
+  size_t offset = durable_last_frame_start_;
   const char* payload = nullptr;
   size_t payload_len = 0;
   if (!ReadFrame(contents.data(), contents.size(), &offset, &payload,
                  &payload_len) ||
-      offset != append_offset_) {
+      offset != durable_offset_) {
     return Status::IoError(StrFormat(
         "journal '%s': tail frame failed CRC re-verification after an I/O "
         "failure — durable prefix is damaged",

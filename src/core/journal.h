@@ -86,6 +86,10 @@ struct JournalRecord {
   uint64_t retried_runs = 0;
   uint64_t timed_out_runs = 0;
   uint64_t remeasured_runs = 0;
+  /// Size of the record's frame on disk. Filled by recovery, never
+  /// serialized: replay re-records the live session's per-round
+  /// io.append.bytes from it.
+  uint64_t frame_bytes = 0;
 };
 
 /// View-based twin of JournalRecord for the Evaluator's zero-allocation
@@ -139,13 +143,20 @@ enum class JournalReplayMode { kAuto, kStreaming, kMmap };
 void SetJournalReplayModeForTesting(JournalReplayMode mode);
 JournalReplayMode JournalReplayModeForTesting();
 
-/// Write-ahead trial journal: an append-only file of fsynced, checksummed
-/// records, one per committed observation, written by the Evaluator before
-/// the measurement reaches the tuner. Because every tuner is deterministic
+/// Write-ahead trial journal: an append-only file of checksummed records,
+/// one per committed observation, written by the Evaluator before the
+/// measurement reaches the tuner. Because every tuner is deterministic
 /// given (seed, evaluator responses), the journal is a complete checkpoint:
 /// ResumeTuningSession re-runs the tuner from scratch while the Evaluator
 /// serves journaled observations instead of executing the system, then goes
 /// live — no tuner needs bespoke serialization (DESIGN.md §8).
+///
+/// The unit of durability is the round, not the record: Append/AppendRef
+/// only write a frame, and Commit() fsyncs every frame written since the
+/// previous commit. The Evaluator commits once per evaluation round (after
+/// the last lane of an EvaluateBatch wave, after every serial trial and
+/// every unit record). Recovery already treats a batch as atomic, so the
+/// lanes of an uncommitted round are exactly what a crash would discard.
 ///
 /// On-disk format (little-endian):
 ///   magic "ATUNEWAL" | version u32 | frame(header) | frame(record)*
@@ -187,9 +198,11 @@ class TrialJournal {
   /// *corrupt* file recovers (possibly to zero records) rather than erroring.
   static Result<Recovered> OpenForResume(const std::string& path);
 
-  /// Appends one record: frames it with a CRC32, writes, and (by default)
-  /// fsyncs before returning, so a committed record survives any crash.
-  /// `record.seq` is written verbatim — callers stamp it with next_seq().
+  /// Writes one record: frames it with a CRC32 and writes it after the
+  /// previous frame. The record is durable only once a later Commit()
+  /// succeeds. A failed write drops every uncommitted frame (see
+  /// ReverifyTail). `record.seq` is written verbatim — callers stamp it with
+  /// next_seq().
   Status Append(const JournalRecord& record);
 
   /// Allocation-free Append: serializes into a reused member buffer and
@@ -198,13 +211,18 @@ class TrialJournal {
   /// Evaluator serializes commits under its own lock).
   Status AppendRef(const JournalRecordRef& record);
 
+  /// Makes every frame appended since the previous commit durable with one
+  /// fsync. A no-op when nothing is pending. On failure the journal drops
+  /// the whole uncommitted round (ReverifyTail), so the file again ends at
+  /// the previous commit and next_seq() rolls back with it.
+  Status Commit();
+
   /// Sequence number the next appended record should carry.
   uint64_t next_seq() const { return next_seq_; }
   const std::string& path() const { return path_; }
 
-  /// Disables the per-append fsync (testing only; the durability guarantee
-  /// requires it on).
-  void set_sync(bool sync) { sync_ = sync; }
+  /// Bytes appended since the last successful commit.
+  uint64_t pending_bytes() const { return end_offset_ - durable_offset_; }
 
   /// Cumulative transient-error retries / short-write continuations the
   /// append path has performed (WriteFully telemetry, surfaced by the
@@ -214,35 +232,48 @@ class TrialJournal {
 
  private:
   TrialJournal(std::string path, IoEnv* env, std::unique_ptr<IoFile> file,
-               uint64_t next_seq, uint64_t append_offset,
+               uint64_t next_seq, uint64_t end_offset,
                uint64_t last_frame_start)
       : path_(std::move(path)),
         env_(env),
         file_(std::move(file)),
         next_seq_(next_seq),
-        append_offset_(append_offset),
-        last_frame_start_(last_frame_start) {}
+        durable_seq_(next_seq),
+        end_offset_(end_offset),
+        durable_offset_(end_offset),
+        last_frame_start_(last_frame_start),
+        durable_last_frame_start_(last_frame_start) {}
 
   /// fsyncgate recovery: after a failed write or fsync the page-cache state
   /// is unknown, so the journal closes its handle, physically truncates the
-  /// file back to the last offset known durable (`append_offset_`), reads
-  /// the kept tail frame back and re-verifies its CRC, then re-opens for
+  /// file back to the last offset known durable (`durable_offset_`, the end
+  /// of the last commit — every uncommitted frame goes with it), reads the
+  /// kept tail frame back and re-verifies its CRC, then re-opens for
   /// appending. On success the on-disk journal is once again exactly the
-  /// longest valid prefix; on failure the journal stays closed and every
-  /// later Append returns FailedPrecondition.
+  /// committed prefix; on failure the journal stays closed and every later
+  /// Append returns FailedPrecondition.
   Status ReverifyTail();
+  /// ReverifyTail after a failed write or fsync; returns `status`, or the
+  /// combined error when the re-verification fails too.
+  Status FailUncommitted(Status status);
 
   std::string path_;
   IoEnv* env_ = nullptr;       ///< captured at open; borrowed
   std::unique_ptr<IoFile> file_;
+  /// Sequence number of the next append, and of the first record after the
+  /// last commit.
   uint64_t next_seq_ = 0;
-  bool sync_ = true;
-  /// End offset of the durable prefix: preamble + every frame whose append
-  /// completed (write + fsync). Bytes past it are unverified.
-  uint64_t append_offset_ = 0;
-  /// Start offset of the final frame in the durable prefix (the header
-  /// frame when no record survived) — the frame ReverifyTail re-checks.
+  uint64_t durable_seq_ = 0;
+  /// End offset of every written frame, and of the committed (written and
+  /// fsynced) prefix: preamble + every frame of every committed round.
+  /// Bytes past durable_offset_ are unverified.
+  uint64_t end_offset_ = 0;
+  uint64_t durable_offset_ = 0;
+  /// Start offset of the final written frame, and of the final committed
+  /// frame (the header frame when no record is committed) — the frame
+  /// ReverifyTail re-checks.
   uint64_t last_frame_start_ = 0;
+  uint64_t durable_last_frame_start_ = 0;
   uint64_t write_retries_ = 0;
   uint64_t short_writes_ = 0;
   /// Reused frame buffer for AppendRef: after the first append it has the

@@ -15,6 +15,7 @@
 #include "common/io_env.h"
 #include "common/random.h"
 #include "ml/kmeans.h"
+#include "obs/metrics.h"
 
 namespace atune {
 namespace {
@@ -279,8 +280,14 @@ Status KnowledgeRepository::Ingest(const KnowledgeRecord& record) {
   if (::mkdir(dir_.c_str(), 0777) != 0 && errno != EEXIST) {
     return Status::IoError("mkdir(" + dir_ + "): " + std::strerror(errno));
   }
-  return AtomicWriteFile(dir_ + "/" + ShardName(record.session_id),
-                         EncodeKnowledgeRecord(record));
+  double sync_seconds = 0.0;
+  Status status = AtomicWriteFile(dir_ + "/" + ShardName(record.session_id),
+                                  EncodeKnowledgeRecord(record), &sync_seconds);
+  MetricsRegistry* metrics = CurrentMetrics();
+  if (status.ok() && metrics != nullptr) {
+    metrics->GetHistogram("io.fsync_host_seconds")->Record(sync_seconds);
+  }
+  return status;
 }
 
 std::vector<std::string> KnowledgeRepository::ListShards() const {

@@ -80,7 +80,8 @@ class KnowledgeRepository {
   const std::string& dir() const { return dir_; }
 
   /// Creates the directory if missing and atomically publishes the
-  /// record's shard. Thread-safe for distinct session ids.
+  /// record's shard. Thread-safe for distinct session ids. The shard's
+  /// fsync time goes to io.fsync_host_seconds of CurrentMetrics(), if any.
   Status Ingest(const KnowledgeRecord& record);
 
   /// Shard filename (relative to dir()) a record would be published under.

@@ -79,7 +79,8 @@ struct SessionOptions {
   bool measure_default = true;
   /// Path of the write-ahead trial journal. Empty = no journal (sessions
   /// are then not resumable). When set, every committed trial is fsynced to
-  /// this file before its measurement reaches the tuner, and
+  /// this file (one fsync per evaluation round) before its measurement
+  /// reaches the tuner, and
   /// ResumeTuningSession can reconstruct a crashed/interrupted session.
   std::string journal_path;
   /// How the session reacts to a journal I/O failure (kStrict: abort with a

@@ -92,6 +92,8 @@ void Evaluator::set_metrics(MetricsRegistry* metrics) {
   m_.budget_retry = metrics_->GetGauge("budget.retry_units");
   m_.budget_remeasure = metrics_->GetGauge("budget.remeasure_units");
   m_.io_appends = metrics_->GetCounter("io.append.total");
+  m_.io_round_bytes = metrics_->GetHistogram("io.append.bytes");
+  m_.io_fsync = metrics_->GetHistogram("io.fsync_host_seconds");
   m_.io_retries = metrics_->GetCounter("io.append.retries");
   m_.io_shorts = metrics_->GetCounter("io.append.short_writes");
   m_.io_errors = metrics_->GetCounter("io.error.total");
@@ -382,6 +384,10 @@ Status Evaluator::JournalTrial(uint64_t batch_size, uint64_t lane,
     begin_ns = tracer_->NowNs();
   }
   Status status = journal_->AppendRef(rec);
+  // The round, not the record, is the unit of durability: recovery keeps
+  // whole batches only, so fsyncing lanes before the last one would buy
+  // nothing a resume could use.
+  if (status.ok() && lane + 1 == batch_size) status = CommitRound();
   last_commit_allocs_ = SampleAllocCount() - commit_allocs_sample_;
   RecordIoTelemetry();
   if (!status.ok()) {
@@ -397,12 +403,27 @@ Status Evaluator::JournalTrial(uint64_t batch_size, uint64_t lane,
                        begin_ns, {});
     }
   }
-  // The append is the commit boundary: firing the interrupt here (rather
-  // than at the next call's entry gate) means a kill lands with the record
-  // durable but the measurement never reaching the tuner — exactly the
-  // crash the journal defends against — and stops a long batch mid-commit.
+  // Firing the interrupt here (rather than at the next call's entry gate)
+  // means a kill lands with the round durable but its measurements never
+  // reaching the tuner — exactly the crash the journal defends against —
+  // and stops a long batch mid-round, where recovery drops the uncommitted
+  // lanes just as a crash there would.
   if (InterruptRequested()) return InterruptedStatus();
   return Status::OK();
+}
+
+Status Evaluator::CommitRound() {
+  if (m_.io_fsync == nullptr) return journal_->Commit();
+  const uint64_t bytes = journal_->pending_bytes();
+  auto begin = std::chrono::steady_clock::now();
+  Status status = journal_->Commit();
+  if (status.ok()) {
+    m_.io_fsync->Record(std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - begin)
+                            .count());
+    m_.io_round_bytes->Record(static_cast<double>(bytes));
+  }
+  return status;
 }
 
 Status Evaluator::JournalUnit(const Configuration& config, size_t unit_index,
@@ -434,6 +455,7 @@ Status Evaluator::JournalUnit(const Configuration& config, size_t unit_index,
     begin_ns = tracer_->NowNs();
   }
   Status status = journal_->AppendRef(rec);
+  if (status.ok()) status = CommitRound();
   last_commit_allocs_ = SampleAllocCount() - sample;
   RecordIoTelemetry();
   if (!status.ok()) {
@@ -579,8 +601,17 @@ Status Evaluator::ReplayTrial(const Configuration& config,
     }
     m_.replayed->Increment();
     // The journaled record was one successful append in the live session;
-    // re-count it so a resumed registry matches the uninterrupted one.
+    // re-count it so a resumed registry matches the uninterrupted one. Its
+    // round was one commit: recovery keeps whole rounds, so the round's
+    // frames are the batch_size records just served.
     m_.io_appends->Increment();
+    if (lane + 1 == batch_size) {
+      uint64_t bytes = 0;
+      for (size_t i = replay_pos_ - batch_size; i < replay_pos_; ++i) {
+        bytes += replay_[i].frame_bytes;
+      }
+      m_.io_round_bytes->Record(static_cast<double>(bytes));
+    }
     RecordTrialMetrics(history_.back());
   }
   return Status::OK();
@@ -647,6 +678,7 @@ Result<ExecutionResult> Evaluator::ReplayUnit(const Configuration& config,
     m_.budget_used->Set(used_);
     m_.replayed->Increment();
     m_.io_appends->Increment();
+    m_.io_round_bytes->Record(static_cast<double>(rec.frame_bytes));
   }
   return rec.result;
 }
@@ -697,11 +729,13 @@ ThreadPool* Evaluator::thread_pool(size_t min_threads) {
 ThreadPool* Evaluator::think_pool() {
   // Capped small: the candidate waves are 16-24 fits or ~100 panel chunks,
   // and every worker, like the calling thread that joins each wave, holds
-  // its own n x n probe while it runs.
+  // its own n x n probe while it runs. The caller is one of the think
+  // threads, so it takes one of the cores: a 4-core host runs 3 workers.
   constexpr size_t kMaxThinkThreads = 4;
   size_t threads = std::min<size_t>(std::thread::hardware_concurrency(),
                                     kMaxThinkThreads);
   if (threads <= 1) return nullptr;
+  threads -= 1;
   ThreadPool* pool = thread_pool(threads);
   if (!think_pool_counted_) {
     think_pool_counted_ = true;

@@ -154,7 +154,8 @@ class Evaluator {
 
   /// Attaches a write-ahead trial journal (not owned): every committed
   /// observation — trial or unit run — is appended, checksummed, and fsynced
-  /// before its measurement is returned to the tuner, so a crashed session
+  /// with its round (one fsync per EvaluateBatch wave, DESIGN.md §8) before
+  /// its measurement is returned to the tuner, so a crashed session
   /// can be reconstructed by ResumeTuningSession. A journal append failure
   /// is sticky and fails the session (measurements must never outrun the
   /// journal). Set before the first Evaluate call.
@@ -297,9 +298,9 @@ class Evaluator {
 
   /// The session pool sized for tuner think work (GP hyper search and
   /// acquisition scans, DESIGN.md §6): thread_pool() with
-  /// min(hardware threads, 4) workers, or nullptr on a host with one
-  /// hardware thread, where the caller's inline path is already the best
-  /// schedule. Call it where the think work starts, never up front: a
+  /// min(hardware threads, 4) - 1 workers, since the calling thread joins
+  /// every wave, or nullptr on a host with one hardware thread, where the
+  /// caller's inline path is already the best schedule. Call it where the think work starts, never up front: a
   /// session that does no such work must start no threads. The pool lives
   /// and dies with this Evaluator — a process-lifetime pool would leave a
   /// fork()ed child submitting to workers that exist only in the parent.
@@ -464,14 +465,20 @@ class Evaluator {
                                          const Workload& workload);
 
   /// Appends a journal record for history_.back() (call after the trial is
-  /// fully finalized, including RecordCompositeTrial's cost stamp). A
-  /// failure is sticky in journal_error_ and returned.
+  /// fully finalized, including RecordCompositeTrial's cost stamp) and, at
+  /// the round's last lane (lane + 1 == batch_size; serial trials are
+  /// rounds of one), commits the round with one fsync. A failure is sticky
+  /// in journal_error_ and returned.
   Status JournalTrial(uint64_t batch_size, uint64_t lane,
                       uint64_t parent_span);
-  /// Appends a kUnit record for an EvaluateUnit measurement.
+  /// Appends and commits a kUnit record for an EvaluateUnit measurement:
+  /// each unit checkpoints a long composite run, so it is its own round.
   Status JournalUnit(const Configuration& config, size_t unit_index,
                      const ExecutionResult& result, double cost,
                      uint64_t parent_span);
+  /// journal_->Commit(), timed into io.fsync_host_seconds and sized into
+  /// io.append.bytes when metrics are on.
+  Status CommitRound();
 
   /// Converts a journal append failure into the policy's outcome: strict
   /// latches it into journal_error_ and returns it; degrade detaches the
@@ -590,6 +597,8 @@ class Evaluator {
     Gauge* budget_retry = nullptr;       // budget.retry_units
     Gauge* budget_remeasure = nullptr;   // budget.remeasure_units
     Counter* io_appends = nullptr;       // io.append.total
+    Histogram* io_round_bytes = nullptr;  // io.append.bytes
+    Histogram* io_fsync = nullptr;       // io.fsync_host_seconds
     Counter* io_retries = nullptr;       // io.append.retries
     Counter* io_shorts = nullptr;        // io.append.short_writes
     Counter* io_errors = nullptr;        // io.error.total

@@ -43,7 +43,6 @@ TEST(CommitAlloc, SteadyStateCommitAllocatesNothing) {
   header.max_evaluations = 24;
   auto journal = TrialJournal::Create(TempPath("alloc.waljournal"), header);
   ASSERT_TRUE(journal.ok());
-  (*journal)->set_sync(false);
   evaluator.set_journal(journal->get());
 
   Configuration c;

@@ -74,7 +74,8 @@ class ScopedReplayMode {
 
 // Op-index map for a journal lifetime under FaultInjectingIoEnv (per-kind
 // indices): Create = write#0 (preamble) + sync#0; the i-th Append (0-based)
-// = write#(i+1) + sync#(i+1). Targeted rules below are derived from this.
+// = write#(i+1), and the i-th Commit = sync#(i+1) when each record is its
+// own round. Targeted rules below are derived from this.
 
 TEST(JournalFaultTest, ShortWriteMidRecordIsReassembled) {
   std::string path = TempPath("journal_fault_short.wal");
@@ -132,14 +133,14 @@ TEST(JournalFaultTest, TransientEioDuringAppendIsRetried) {
 }
 
 // fsyncgate: the fsync of the final record fails and the page cache drops
-// the unsynced frame. The append must report kIoError, the journal must
+// the unsynced frame. The commit must report kIoError, the journal must
 // re-verify its durable tail, and a later append must land cleanly after it.
 TEST(JournalFaultTest, SyncFailureOnFinalRecordKeepsDurablePrefix) {
   std::string path = TempPath("journal_fault_syncgate.wal");
   std::remove(path.c_str());
   IoFaultSchedule schedule;
   schedule.rules.push_back(
-      {IoOpKind::kSync, 5, IoFaultKind::kSyncFail, 1});  // 5th append's fsync
+      {IoOpKind::kSync, 5, IoFaultKind::kSyncFail, 1});  // 5th commit's fsync
   FaultInjectingIoEnv env(IoEnv::Default(), schedule);
   {
     ScopedIoEnv install(&env);
@@ -147,19 +148,58 @@ TEST(JournalFaultTest, SyncFailureOnFinalRecordKeepsDurablePrefix) {
     ASSERT_TRUE(journal.ok());
     for (uint64_t i = 0; i < 4; ++i) {
       ASSERT_TRUE((*journal)->Append(TestRecord(i)).ok());
+      ASSERT_TRUE((*journal)->Commit().ok());
     }
-    Status failed = (*journal)->Append(TestRecord(4));
+    ASSERT_TRUE((*journal)->Append(TestRecord(4)).ok());
+    Status failed = (*journal)->Commit();
     ASSERT_FALSE(failed.ok());
     EXPECT_EQ(failed.code(), StatusCode::kIoError);
     EXPECT_EQ(env.injected(IoFaultKind::kSyncFail), 1u);
-    // next_seq must not advance past a record that never became durable.
+    // next_seq must not stay past a record that never became durable.
     EXPECT_EQ((*journal)->next_seq(), 4u);
     // ReverifyTail re-opened the journal on the durable prefix: the retried
     // append goes through and stays sequence-dense.
     ASSERT_TRUE((*journal)->Append(TestRecord(4)).ok());
+    ASSERT_TRUE((*journal)->Commit().ok());
     EXPECT_EQ((*journal)->next_seq(), 5u);
   }
   EXPECT_EQ(RecoveredCount(path), 5u);
+}
+
+// The round is the unit of durability: a failed commit drops every frame
+// written since the previous commit, not just the last one, and rewinds
+// next_seq to the first record of the failed round.
+TEST(JournalFaultTest, SyncFailureDropsTheWholeUncommittedRound) {
+  std::string path = TempPath("journal_fault_round.wal");
+  std::remove(path.c_str());
+  FaultInjectingIoEnv env(
+      IoEnv::Default(),
+      IoFaultSchedule::Single(IoOpKind::kSync, 2, IoFaultKind::kSyncFail));
+  uint64_t durable_size = 0;
+  {
+    ScopedIoEnv install(&env);
+    auto journal = TrialJournal::Create(path, TestHeader());
+    ASSERT_TRUE(journal.ok());
+    for (uint64_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*journal)->Append(TestRecord(i)).ok());
+    }
+    EXPECT_GT((*journal)->pending_bytes(), 0u);
+    ASSERT_TRUE((*journal)->Commit().ok());  // sync#1: round {0, 1, 2}
+    EXPECT_EQ((*journal)->pending_bytes(), 0u);
+    EXPECT_TRUE((*journal)->Commit().ok());  // nothing pending: no fsync
+    EXPECT_EQ(env.ops(IoOpKind::kSync), 2u);
+    durable_size = *IoEnv::Default()->FileSize(path);
+    for (uint64_t i = 3; i < 6; ++i) {
+      ASSERT_TRUE((*journal)->Append(TestRecord(i)).ok());
+    }
+    Status failed = (*journal)->Commit();  // sync#2 fails
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.code(), StatusCode::kIoError);
+    EXPECT_EQ((*journal)->next_seq(), 3u);
+    EXPECT_EQ((*journal)->pending_bytes(), 0u);
+    EXPECT_EQ(*IoEnv::Default()->FileSize(path), durable_size);
+  }
+  EXPECT_EQ(RecoveredCount(path), 3u);
 }
 
 TEST(JournalFaultTest, PersistentEioMidRecordKeepsJournalAppendable) {
@@ -174,10 +214,12 @@ TEST(JournalFaultTest, PersistentEioMidRecordKeepsJournalAppendable) {
     auto journal = TrialJournal::Create(path, TestHeader());
     ASSERT_TRUE(journal.ok());
     ASSERT_TRUE((*journal)->Append(TestRecord(0)).ok());
+    ASSERT_TRUE((*journal)->Commit().ok());
     Status failed = (*journal)->Append(TestRecord(1));
     ASSERT_FALSE(failed.ok());
     EXPECT_EQ(failed.code(), StatusCode::kIoError);
     ASSERT_TRUE((*journal)->Append(TestRecord(1)).ok());
+    ASSERT_TRUE((*journal)->Commit().ok());
   }
   EXPECT_EQ(RecoveredCount(path), 2u);
 }

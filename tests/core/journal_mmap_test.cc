@@ -50,7 +50,6 @@ std::string TempPath(const std::string& name) {
 void WriteJournal(const std::string& path, size_t records) {
   auto journal = TrialJournal::Create(path, TestHeader());
   ASSERT_TRUE(journal.ok());
-  (*journal)->set_sync(false);
   for (size_t i = 0; i < records; ++i) {
     ASSERT_TRUE((*journal)->Append(TestRecord(i)).ok());
   }
@@ -165,7 +164,6 @@ TEST(JournalMmap, AppendRefFileByteIdenticalToAppend) {
   {
     auto journal = TrialJournal::Create(via_append_path, TestHeader());
     ASSERT_TRUE(journal.ok());
-    (*journal)->set_sync(false);
     for (uint64_t i = 0; i < 7; ++i) {
       ASSERT_TRUE((*journal)->Append(TestRecord(i)).ok());
     }
@@ -173,7 +171,6 @@ TEST(JournalMmap, AppendRefFileByteIdenticalToAppend) {
   {
     auto journal = TrialJournal::Create(via_ref_path, TestHeader());
     ASSERT_TRUE(journal.ok());
-    (*journal)->set_sync(false);
     for (uint64_t i = 0; i < 7; ++i) {
       JournalRecord rec = TestRecord(i);
       JournalRecordRef ref;
@@ -210,7 +207,6 @@ TEST(JournalMmap, AppendAfterMmapRecoveryWorks) {
   auto recovered = TrialJournal::OpenForResume(path);
   ASSERT_TRUE(recovered.ok());
   ASSERT_NE(recovered->journal, nullptr);
-  recovered->journal->set_sync(false);
   EXPECT_EQ(recovered->journal->next_seq(), 3u);
   ASSERT_TRUE(recovered->journal->Append(TestRecord(3)).ok());
   recovered->journal.reset();

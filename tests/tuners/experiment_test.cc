@@ -233,7 +233,7 @@ Result<TuningOutcome> RunSerialITunedSession(MetricsRegistry* metrics) {
 // Think-pool workers a GP session starts on this host (0: inline search).
 uint64_t ExpectedThinkThreads() {
   size_t hw = std::thread::hardware_concurrency();
-  return hw > 1 ? std::min<size_t>(hw, 4) : 0;
+  return hw > 1 ? std::min<size_t>(hw, 4) - 1 : 0;
 }
 
 TEST(ITunedTest, SerialSessionMatchesPinnedChecksum) {

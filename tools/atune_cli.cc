@@ -41,7 +41,8 @@
 //   --fallback-tuner=<name>         failover tuner under --supervise
 //       any registry tuner; default is the built-in LHS random fallback
 //   --journal=PATH                  write-ahead trial journal [off]
-//       every committed trial is fsynced to PATH before the tuner sees it;
+//       every committed trial is fsynced to PATH before the tuner sees it
+//       (one fsync per round: a serial trial or a --parallelism wave);
 //       SIGINT/SIGTERM (and crashes) leave a resumable checkpoint
 //   --journal-policy=strict|degrade journal I/O failure policy [strict]
 //       strict aborts the session with a clean I/O error (exit 3); degrade

@@ -30,9 +30,11 @@
 #                                   # Release build + bench_crashsafety at
 #                                   # full scale, gated on the pass flags in
 #                                   # BENCH_crashsafety.json: crash-point
-#                                   # sweep over every mutating I/O op
-#                                   # (recovery + resume bit-identity + no
-#                                   # torn artifacts), fault-schedule matrix
+#                                   # sweeps over every mutating I/O op,
+#                                   # serial and at parallelism 4 (recovery
+#                                   # + resume bit-identity after a crash and
+#                                   # after a power loss + no torn
+#                                   # artifacts), fault-schedule matrix
 #                                   # with zero session fatals, and the IoEnv
 #                                   # seam overhead bound (<= 1.02x journal
 #                                   # append). Then rebuilds the asan-ubsan
@@ -133,7 +135,7 @@ if [ "${1:-}" = "--smoke" ]; then
   echo "bench_durability: kill/resume bit-identity + fuzz recovery ok"
   echo "=== [smoke] crash-safety gate ==="
   # Same contract as durability: bench_crashsafety gates its exit code even
-  # under ATUNE_SMOKE (reduced sweep of >= 8 evenly spaced crash points plus
+  # under ATUNE_SMOKE (reduced sweeps of >= 8 evenly spaced crash points plus
   # the full fault-schedule matrix; the seam-overhead bound is advisory in
   # unoptimized builds but the correctness flags always gate).
   ATUNE_SMOKE=1 ./build/bench/bench_crashsafety > /dev/null
@@ -306,13 +308,15 @@ if [ "${1:-}" = "--crashsafety" ]; then
   cmake --build build -j "$jobs"
   echo "=== [crashsafety] bench_crashsafety (full sweep) ==="
   # Full scale: one forked crash per mutating I/O op in the baseline run,
-  # each checked for longest-valid-prefix recovery, resume bit-identity
-  # (checksum + final journal bytes), and no half-written published
-  # artifact; then the fault-schedule matrix (EINTR storms, short writes,
-  # transient and persistent EIO, ENOSPC, fsync failure, rename failure)
-  # under both --journal-policy strict and degrade.
+  # serial and at parallelism 4, each checked for longest-valid-prefix
+  # recovery, resume bit-identity (checksum + final journal bytes) from the
+  # crashed state and from the fsynced state a power loss leaves, and no
+  # half-written published artifact; then the fault-schedule matrix (EINTR
+  # storms, short writes, transient and persistent EIO, ENOSPC, fsync
+  # failure serial and batched, rename failure) under both
+  # --journal-policy strict and degrade.
   ./build/bench/bench_crashsafety
-  if ! grep -q '"pass": {"sweep": true, "faults": true, "overhead": true}' \
+  if ! grep -q '"pass": {"sweep": true, "batched_sweep": true, "faults": true, "overhead": true}' \
       BENCH_crashsafety.json; then
     echo "crashsafety gate FAILED:" >&2
     grep '"pass"' BENCH_crashsafety.json >&2 || true
@@ -475,7 +479,7 @@ if [ "${1:-}" = "--io-repeat" ]; then
   # and pid (testing_util::TestTempPath). Running them as concurrent ctest
   # processes in random order, each up to 20 times, fails on the first
   # pass where two of them still meet on one file.
-  io_suites='^(JournalTest|JournalFaultTest|JournalMmap|ResumeTest'
+  io_suites='^(JournalTest|JournalFaultTest|JournalMmap|ResumeTest|GroupCommitTest'
   io_suites+='|KnowledgeRepoTest|IoEnvTest|WarmStartTest|AdaptiveRetuneTest'
   io_suites+='|TraceResumeTest|CommitAlloc|RepositoryIoTest)\.'
   ctest --test-dir build -j "$jobs" --schedule-random \
